@@ -77,7 +77,7 @@ from .plant import (
     weight_to_torque,
     wind_speed_to_torque,
 )
-from .qpsolve import QpProblem, QpSolution, check_kkt, solve_qp
+from .qpsolve import QpProblem, QpSolution, QpWorkspace, check_kkt, solve_qp
 from .scenario import ScenarioConfig, load_bundled_scenario, load_scenario_file, parse_scenario
 
 __version__ = "0.1.0"

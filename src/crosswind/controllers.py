@@ -20,7 +20,8 @@ from .errors import BufferLengthError, InvalidParameterError, QpInfeasibleError
 from .estimator import lowpass
 from .model import DiscreteModel
 from .plant import InputBuffer, RollState, saturate
-from .qpsolve import QpProblem, solve_qp
+# QpProblem and solve_qp stay importable from here for existing callers
+from .qpsolve import QpProblem, QpWorkspace, solve_qp  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # PID
@@ -145,6 +146,8 @@ class PredictionStack:
     Phi maps the shifted state to the predicted outputs, G maps future
     inputs to outputs (lower triangular, Toeplitz), H = G'QcG + Rc, and
     K_shift / M_shift propagate the state across the kd-sample delay.
+    ``qp`` is the constrained step's QP workspace, factorised once for H
+    with G as its rows when the config bounds the predicted outputs.
     """
 
     Phi: np.ndarray
@@ -158,6 +161,7 @@ class PredictionStack:
     kd: int
     # first row of H^-1 G' Qc, the precomputed unconstrained gain
     gain_row: np.ndarray
+    qp: QpWorkspace
 
     def predict(self, x_shifted: np.ndarray) -> np.ndarray:
         """Free response F(k) of the predicted outputs."""
@@ -195,9 +199,10 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
     gain_row = (H_inv @ G.T @ np.diag(cfg.Qc_diag))[0]
     for arr in (Phi, G, H, H_inv, K_shift, M_shift, gain_row):
         arr.setflags(write=False)
+    qp = QpWorkspace(H, rows=G if cfg.y_min is not None else None)
     return PredictionStack(Phi=Phi, G=G, H=H, H_inv=H_inv, K_shift=K_shift,
                            M_shift=M_shift, Qc_diag=cfg.Qc_diag, Rc_diag=cfg.Rc_diag,
-                           kd=dm.kd, gain_row=gain_row)
+                           kd=dm.kd, gain_row=gain_row, qp=qp)
 
 
 def _shift_from_history(x: RollState, history: np.ndarray, stack: PredictionStack) -> np.ndarray:
@@ -242,24 +247,32 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
                          qp_tol: float = 1e-8, qp_max_iters: int = 5000) -> float:
     """Receding-horizon step solving the box(+output)-constrained QP.
 
-    Raises QpInfeasibleError when the QP reports no feasible point
-    (possible with tight output constraints); callers are expected to
-    fall back to the saturated closed-form law and flag the step.
+    The QP is solved on ``stack.qp``, the workspace ``build_prediction``
+    factorised for this H, so a step only forms f and the bounds. It
+    takes the unconstrained fast path when no bound binds and the dual
+    active-set method otherwise (see ``crosswind.qpsolve``).
+
+    Raises QpInfeasibleError, carrying the solver status, when the QP is
+    not solved to optimality (possible with tight output constraints);
+    callers are expected to fall back to the saturated closed-form law
+    and flag the step.
     """
+    if (cfg.y_min is None) != (stack.qp.rows is None):
+        raise InvalidParameterError("cfg output bounds do not match the stack; "
+                                    "build the stack with build_prediction(dm, cfg)")
     hist = _effective_history(buf, stack, wind_estimate)
     xs = _shift_from_history(x, hist, stack)
     F = stack.predict(xs)
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
     lower = np.full(cfg.Np, cfg.u_min + wind_estimate)
     upper = np.full(cfg.Np, cfg.u_max + wind_estimate)
-    rows = row_lower = row_upper = None
+    row_lower = row_upper = None
     if cfg.y_min is not None:
-        rows = stack.G
         row_lower = cfg.y_min - F
         row_upper = cfg.y_max - F
-    problem = QpProblem(H=stack.H, f=f, lower=lower, upper=upper,
-                        rows=rows, row_lower=row_lower, row_upper=row_upper)
-    sol = solve_qp(problem, tol=qp_tol, max_iters=qp_max_iters)
+    sol = stack.qp.solve(f, lower, upper, row_lower, row_upper,
+                         tol=qp_tol, max_iters=qp_max_iters)
     if sol.status != "optimal":
-        raise QpInfeasibleError(f"MPC quadratic program ended with status {sol.status!r}")
+        raise QpInfeasibleError(f"MPC quadratic program ended with status {sol.status!r}",
+                                status=sol.status)
     return float(sol.u_star[0])

@@ -34,7 +34,15 @@ class BufferLengthError(CrosswindError, ValueError):
 
 
 class QpInfeasibleError(CrosswindError, RuntimeError):
-    """The constrained MPC quadratic program has no feasible point."""
+    """The constrained MPC quadratic program was not solved to optimality.
+
+    ``status`` is the solver's: ``infeasible`` (no feasible point) or
+    ``max_iters`` (the iteration cap was reached).
+    """
+
+    def __init__(self, message, status=None):
+        super().__init__(message)
+        self.status = status
 
 
 class PlantDivergenceError(CrosswindError, RuntimeError):

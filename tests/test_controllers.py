@@ -12,7 +12,7 @@ from crosswind.controllers import (
     pid_step,
     shift_state,
 )
-from crosswind.errors import BufferLengthError, InvalidParameterError
+from crosswind.errors import BufferLengthError, InvalidParameterError, QpInfeasibleError
 from crosswind.model import discretize_zoh
 from crosswind.plant import InputBuffer, RollState, step_simplified_plant
 
@@ -279,3 +279,23 @@ class TestMpcSteps:
                     plant = step_simplified_plant(plant, applied, tau_w,
                                                   nominal_dm, nominal_params)
                 assert abs(plant.theta) < 1e-4
+
+    def test_qp_failure_carries_solver_status(self, nominal_dm):
+        buf = InputBuffer(nominal_dm.kd)
+        cfg = make_mpc_cfg(Np=10, u_lim=400.0, y_min=-0.001, y_max=0.001)
+        st = build_prediction(nominal_dm, cfg)
+        with pytest.raises(QpInfeasibleError) as err:  # band out of reach
+            mpc_constrained_step(RollState(theta=0.2), buf, st, cfg)
+        assert err.value.status == "infeasible"
+        cfg = make_mpc_cfg(Np=10, u_lim=50.0)
+        st = build_prediction(nominal_dm, cfg)
+        x = RollState(theta=0.05)
+        assert abs(mpc_constrained_step(x, buf, st, cfg)) == pytest.approx(50.0)
+        with pytest.raises(QpInfeasibleError) as err:  # feasible, but cut off
+            mpc_constrained_step(x, buf, st, cfg, qp_max_iters=1)
+        assert err.value.status == "max_iters"
+
+    def test_stack_and_config_must_agree_on_output_bounds(self, nominal_dm, stack):
+        cfg = make_mpc_cfg(y_min=-0.01, y_max=0.01)
+        with pytest.raises(InvalidParameterError):
+            mpc_constrained_step(RollState(), InputBuffer(nominal_dm.kd), stack, cfg)

@@ -15,6 +15,7 @@ from crosswind.harness import (
     run_scenario,
     write_trace,
 )
+from crosswind.qpsolve import QpWorkspace
 from crosswind.scenario import load_bundled_scenario, parse_scenario
 
 QUIET = """
@@ -111,6 +112,53 @@ schedule = 10:15
         assert "optimal" in statuses
         m = compute_metrics(trace, band=0.02, events=[10.0])
         assert m.settled
+
+    def test_binding_limits_fall_back_only_when_infeasible(self, monkeypatch):
+        """At a 380 N m limit with a +-0.01 rad output band the box and the
+        band bind for many steps; every QP an LP finds feasible is solved
+        to optimality, so no step falls back."""
+        from scipy.optimize import linprog
+
+        cfg = parse_scenario("""
+[scenario]
+controller = mpc_constrained
+estimator = pole_place
+feedforward = true
+duration = 40.0
+noise_std = 0.002
+rng_seed = 1
+
+[plant_params]
+torque_limit = 380.0
+
+[mpc]
+output_min = -0.01
+output_max = 0.01
+
+[weights]
+side = left
+schedule = 10:15
+""")
+        solves = []
+        solve = QpWorkspace.solve
+
+        def recording(ws, f, lower, upper, row_lower=None, row_upper=None, **kwargs):
+            sol = solve(ws, f, lower, upper, row_lower, row_upper, **kwargs)
+            solves.append((ws, lower, upper, row_lower, row_upper, sol))
+            return sol
+
+        monkeypatch.setattr(QpWorkspace, "solve", recording)
+        trace = run_scenario(cfg)
+        assert len(solves) == len(trace)
+        binding = [s for s in solves if s[-1].iterations > 0 or s[-1].status != "optimal"]
+        assert len(binding) >= 20
+        for ws, lower, upper, row_lower, row_upper, sol in binding:
+            lp = linprog(np.zeros(ws.n), A_ub=np.vstack([ws.rows, -ws.rows]),
+                         b_ub=np.concatenate([row_upper, -row_lower]),
+                         bounds=list(zip(lower, upper)), method="highs")
+            if lp.status == 0:
+                assert sol.status == "optimal"
+        assert {r.qp_status for r in trace} == {"optimal"}
 
     def test_feedforward_speeds_up_pid(self):
         """Feed-forward compensation also helps the PID loop."""

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from crosswind.controllers import MpcConfig, build_prediction
 from crosswind.errors import InvalidParameterError
-from crosswind.qpsolve import QpProblem, check_kkt, constraint_stack, solve_qp
+from crosswind.qpsolve import QpProblem, QpWorkspace, check_kkt, constraint_stack, solve_qp
 
 
 def random_pd(rng, n, scale=1.0):
@@ -223,3 +224,183 @@ class TestValidation:
                       lower=np.array([-1.0]), upper=np.array([1.0]))
         with pytest.raises(InvalidParameterError):
             check_kkt(p, np.zeros(1), np.zeros(5))
+
+
+def banded_mpc(dm, Np=10, u_lim=400.0, band=0.01):
+    """A constrained-MPC stack with a torque box and an output band."""
+    qc = np.ones(Np)
+    qc[-1] = 50.0
+    cfg = MpcConfig(Np=Np, Qc_diag=qc, Rc_diag=np.full(Np, 1e-9),
+                    u_min=-u_lim, u_max=u_lim, y_min=-band, y_max=band)
+    return cfg, build_prediction(dm, cfg)
+
+
+def mpc_problem(cfg, stack, xs, wind=0.0):
+    """f and bounds of the constrained MPC step for the shifted state xs."""
+    F = stack.predict(xs)
+    f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
+    Np = cfg.Np
+    return (f, np.full(Np, cfg.u_min + wind), np.full(Np, cfg.u_max + wind),
+            cfg.y_min - F, cfg.y_max - F)
+
+
+class TestWorkspace:
+    def test_reused_workspace_matches_fresh_solves_bit_for_bit(self, nominal_dm, rng):
+        cfg, stack = banded_mpc(nominal_dm)
+        paths = set()
+        for _ in range(40):
+            xs = np.array([rng.uniform(-0.03, 0.03), rng.uniform(-0.1, 0.1)])
+            f, lo, hi, rl, ru = mpc_problem(cfg, stack, xs, wind=rng.uniform(-100.0, 100.0))
+            sol = stack.qp.solve(f, lo, hi, rl, ru)
+            ref = solve_qp(QpProblem(H=stack.H, f=f, lower=lo, upper=hi,
+                                     rows=stack.G, row_lower=rl, row_upper=ru))
+            assert np.array_equal(sol.u_star, ref.u_star)
+            assert np.array_equal(sol.multipliers, ref.multipliers)
+            assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+            paths.add((sol.status, sol.iterations > 0))
+        # the sequence exercised the fast path and the active-set iteration
+        assert ("optimal", False) in paths and ("optimal", True) in paths
+
+    def test_fast_path_is_the_cached_unconstrained_minimizer(self, rng):
+        H = random_pd(rng, 4)
+        f = rng.normal(size=4)
+        ws = QpWorkspace(H)
+        sol = ws.solve(f, np.full(4, -1e3), np.full(4, 1e3))
+        assert sol.iterations == 0
+        assert np.array_equal(sol.u_star, -np.linalg.inv(2.0 * H) @ f)
+
+    def test_reported_kkt_residual_equals_check_kkt(self, rng):
+        seen_fast = seen_active = False
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            k = int(rng.integers(0, 4))
+            H = random_pd(rng, n)
+            f = rng.normal(scale=3.0, size=n)
+            rows = rl = ru = None
+            if k:
+                rows = rng.normal(size=(k, n))
+                rl = rng.uniform(-2.0, -0.1, size=k)
+                ru = rng.uniform(0.1, 2.0, size=k)
+            p = QpProblem(H=H, f=f, lower=np.full(n, -0.5), upper=np.full(n, 0.5),
+                          rows=rows, row_lower=rl, row_upper=ru)
+            sol = solve_qp(p)
+            assert sol.status == "optimal"
+            ref = check_kkt(p, sol.u_star, sol.multipliers)
+            if sol.iterations == 0:
+                seen_fast = True
+                assert sol.kkt_residual == ref
+            else:
+                seen_active = True
+                # M'lam is summed in another order; both are rounding-level
+                assert sol.kkt_residual == pytest.approx(ref, abs=1e-12)
+        assert seen_fast and seen_active
+
+    def test_pinned_variable_with_row_on_same_variable(self):
+        H, f = np.eye(2), np.array([1.0, 1.0])
+        box = dict(lower=np.array([0.25, -1.0]), upper=np.array([0.25, 1.0]))
+        rows = np.array([[0.1, 0.0]])
+        # 0.1 u0 <= 0.03 leaves the pin feasible: the row holds strictly
+        p = QpProblem(H=H, f=-4.0 * f, **box, rows=rows,
+                      row_lower=np.array([-1.0]), row_upper=np.array([0.03]))
+        sol = solve_qp(p)
+        assert sol.status == "optimal"
+        assert np.allclose(sol.u_star, [0.25, 1.0], atol=1e-12)
+        assert check_kkt(p, sol.u_star, sol.multipliers) < 1e-12
+        # 0.1 u0 <= 0.02 contradicts u0 = 0.25
+        p = QpProblem(H=H, f=-4.0 * f, **box, rows=rows,
+                      row_lower=np.array([-1.0]), row_upper=np.array([0.02]))
+        sol = solve_qp(p)
+        assert sol.status == "infeasible"
+        assert sol.iterations <= 5
+
+    def test_dependent_constraint_replaces_active_one(self):
+        # u <= 2 binds first (larger scaled violation); then 0.1 u <= 0.15,
+        # parallel to it, is violated: a pure dual step drops u <= 2 and
+        # the row takes over at u = 1.5
+        p = QpProblem(H=np.array([[1.0]]), f=np.array([-10.0]),
+                      lower=np.array([-5.0]), upper=np.array([2.0]),
+                      rows=np.array([[0.1]]), row_lower=np.array([-1.0]),
+                      row_upper=np.array([0.15]))
+        sol = solve_qp(p)
+        assert sol.status == "optimal"
+        assert sol.u_star[0] == pytest.approx(1.5, abs=1e-12)
+        assert sol.multipliers[0] == 0.0  # upper box dropped
+        assert sol.multipliers[2] == pytest.approx(70.0, rel=1e-12)  # 2u - 10 + 0.1 lam = 0
+        assert check_kkt(p, sol.u_star, sol.multipliers) < 1e-12
+
+    def test_duplicated_and_negated_rows(self, rng):
+        for _ in range(20):
+            H = random_pd(rng, 3)
+            f = rng.normal(scale=5.0, size=3)
+            lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+            row = rng.normal(size=3)
+            single = solve_qp(QpProblem(H=H, f=f, lower=lo, upper=hi, rows=row[None, :],
+                                        row_lower=np.array([-0.3]), row_upper=np.array([0.2])))
+            # the same band written three times: twice as is, once negated
+            p = QpProblem(H=H, f=f, lower=lo, upper=hi, rows=np.vstack([row, row, -row]),
+                          row_lower=np.array([-0.3, -0.5, -0.2]),
+                          row_upper=np.array([0.2, 0.2, 0.3]))
+            sol = solve_qp(p)
+            assert single.status == sol.status == "optimal"
+            assert np.max(np.abs(sol.u_star - single.u_star)) < 1e-10
+            assert check_kkt(p, sol.u_star, sol.multipliers) < 1e-10
+
+    def test_output_pinned_by_equal_band_rows(self, nominal_dm):
+        cfg, stack = banded_mpc(nominal_dm, Np=6, u_lim=1000.0, band=0.05)
+        f, lo, hi, rl, ru = mpc_problem(cfg, stack, np.array([0.02, 0.0]))
+        rl[2] = ru[2] = -0.004  # upper and lower row of output 2 coincide
+        sol = stack.qp.solve(f, lo, hi, rl, ru)
+        assert sol.status == "optimal" and sol.iterations > 0
+        assert (stack.G @ sol.u_star)[2] == pytest.approx(-0.004, abs=1e-12)
+        scaled = QpProblem(H=stack.H / stack.H.max(), f=f / stack.H.max(), lower=lo, upper=hi,
+                           rows=stack.G, row_lower=rl, row_upper=ru)
+        assert check_kkt(scaled, sol.u_star, sol.multipliers / stack.H.max()) < 1e-9
+        # an output the torque box cannot reach: proven infeasible quickly
+        rl[0] = ru[0] = 1.0
+        sol = stack.qp.solve(f, lo, hi, rl, ru)
+        assert sol.status == "infeasible"
+        assert sol.iterations <= 2 * cfg.Np
+
+    def test_infeasibility_proven_in_few_iterations(self, rng):
+        p = QpProblem(H=np.array([[1.0]]), f=np.array([0.0]),
+                      lower=np.array([-1.0]), upper=np.array([1.0]),
+                      rows=np.array([[1.0]]), row_lower=np.array([2.0]),
+                      row_upper=np.array([3.0]))
+        sol = solve_qp(p)
+        assert sol.status == "infeasible"
+        assert sol.iterations <= 2
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            # the box caps sum(u) at n, the row demands more
+            p = QpProblem(H=random_pd(rng, n), f=rng.normal(size=n),
+                          lower=np.full(n, -1.0), upper=np.full(n, 1.0),
+                          rows=np.ones((1, n)), row_lower=np.array([n + 0.5]),
+                          row_upper=np.array([n + 1.0]))
+            sol = solve_qp(p)
+            assert sol.status == "infeasible"
+            assert sol.iterations <= 2 * n + 1
+
+    def test_max_iters_only_when_cap_reached(self, rng):
+        H = random_pd(rng, 5)
+        f = np.array([5.0, -3.0, 2.0, 1.0, -4.0])
+        p = QpProblem(H=H, f=f, lower=np.full(5, -0.1), upper=np.full(5, 0.1))
+        full = solve_qp(p)
+        assert full.status == "optimal" and full.iterations >= 2
+        capped = solve_qp(p, max_iters=1)
+        assert capped.status == "max_iters"
+        assert capped.iterations == 1
+
+    def test_bounds_checked_per_solve(self, rng):
+        ws = QpWorkspace(random_pd(rng, 2), rows=np.array([[1.0, 1.0]]))
+        lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+        with pytest.raises(InvalidParameterError):
+            ws.solve(np.zeros(2), lo, hi)  # row bounds missing
+        with pytest.raises(InvalidParameterError):
+            ws.solve(np.zeros(2), hi, lo, np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(InvalidParameterError):
+            ws.solve(np.zeros(3), lo, hi, np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(InvalidParameterError):
+            QpWorkspace(random_pd(rng, 2)).solve(np.zeros(2), lo, hi, np.array([-1.0]),
+                                                 np.array([1.0]))
+        with pytest.raises(InvalidParameterError):
+            QpWorkspace(np.diag([1.0, -1.0]))
