@@ -139,8 +139,5 @@ def main(argv=None) -> int:
         return 1
 
 
-cli_main = main
-
-
 if __name__ == "__main__":
     sys.exit(main())

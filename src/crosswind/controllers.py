@@ -147,13 +147,13 @@ class PredictionStack:
     inputs to outputs (lower triangular, Toeplitz), H = G'QcG + Rc, and
     K_shift / M_shift propagate the state across the kd-sample delay.
     ``qp`` is the constrained step's QP workspace, factorised once for H
-    with G as its rows when the config bounds the predicted outputs.
+    with G as its rows when the config bounds the predicted outputs; its
+    ``H2_inv`` = inv(2H) is the stack's only inverse of H.
     """
 
     Phi: np.ndarray
     G: np.ndarray
     H: np.ndarray
-    H_inv: np.ndarray
     K_shift: np.ndarray
     M_shift: np.ndarray
     Qc_diag: np.ndarray
@@ -181,11 +181,8 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
     for i in range(Np):
         G[i, : i + 1] = first_col[: i + 1][::-1]
     H = G.T @ (cfg.Qc_diag[:, None] * G) + np.diag(cfg.Rc_diag)
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise InvalidParameterError("H = G'QcG + Rc is not positive definite") from None
-    H_inv = np.linalg.inv(H)
+    qp = QpWorkspace(H, rows=G if cfg.y_min is not None else None)
+    H_inv = 2.0 * qp.H2_inv  # scaling by 2 is exact: this is inv(H) to the bit
     residual = np.max(np.abs(H @ H_inv - np.eye(Np)))
     if residual > 1e-9:
         raise InvalidParameterError(
@@ -197,15 +194,17 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
     else:
         M_shift = np.zeros((2, 0))
     gain_row = (H_inv @ G.T @ np.diag(cfg.Qc_diag))[0]
-    for arr in (Phi, G, H, H_inv, K_shift, M_shift, gain_row):
+    for arr in (Phi, G, H, K_shift, M_shift, gain_row):
         arr.setflags(write=False)
-    qp = QpWorkspace(H, rows=G if cfg.y_min is not None else None)
-    return PredictionStack(Phi=Phi, G=G, H=H, H_inv=H_inv, K_shift=K_shift,
-                           M_shift=M_shift, Qc_diag=cfg.Qc_diag, Rc_diag=cfg.Rc_diag,
-                           kd=dm.kd, gain_row=gain_row, qp=qp)
+    return PredictionStack(Phi=Phi, G=G, H=H, K_shift=K_shift, M_shift=M_shift,
+                           Qc_diag=cfg.Qc_diag, Rc_diag=cfg.Rc_diag, kd=dm.kd,
+                           gain_row=gain_row, qp=qp)
 
 
 def _shift_from_history(x: RollState, history: np.ndarray, stack: PredictionStack) -> np.ndarray:
+    """x(k+kd) from x(k) and the kd inputs applied in between."""
+    if history.size != stack.kd:
+        raise BufferLengthError(f"buffer holds {history.size} commands, model delay is {stack.kd}")
     xv = np.array([x.theta, x.theta_dot])
     if stack.kd == 0:
         return xv
@@ -214,18 +213,8 @@ def _shift_from_history(x: RollState, history: np.ndarray, stack: PredictionStac
 
 def shift_state(x_k: RollState, buf: InputBuffer, stack: PredictionStack) -> RollState:
     """Propagate the state across the delay: x(k+kd) from x(k) and the buffer."""
-    hist = buf.as_array()
-    if hist.size != stack.kd:
-        raise BufferLengthError(f"buffer holds {hist.size} commands, model delay is {stack.kd}")
-    xs = _shift_from_history(x_k, hist, stack)
+    xs = _shift_from_history(x_k, buf.as_array(), stack)
     return RollState(theta=float(xs[0]), theta_dot=float(xs[1]))
-
-
-def _effective_history(buf: InputBuffer, stack: PredictionStack, wind_estimate: float) -> np.ndarray:
-    hist = buf.as_array()
-    if hist.size != stack.kd:
-        raise BufferLengthError(f"buffer holds {hist.size} commands, model delay is {stack.kd}")
-    return hist + wind_estimate
 
 
 def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
@@ -236,8 +225,7 @@ def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStac
     downstream; it shifts both the effective delayed inputs and the
     saturation box so the physical command stays within limits.
     """
-    hist = _effective_history(buf, stack, wind_estimate)
-    xs = _shift_from_history(x, hist, stack)
+    xs = _shift_from_history(x, buf.as_array() + wind_estimate, stack)
     u0 = -float(stack.gain_row @ stack.predict(xs))
     return min(max(u0, -torque_limit + wind_estimate), torque_limit + wind_estimate)
 
@@ -260,8 +248,7 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
     if (cfg.y_min is None) != (stack.qp.rows is None):
         raise InvalidParameterError("cfg output bounds do not match the stack; "
                                     "build the stack with build_prediction(dm, cfg)")
-    hist = _effective_history(buf, stack, wind_estimate)
-    xs = _shift_from_history(x, hist, stack)
+    xs = _shift_from_history(x, buf.as_array() + wind_estimate, stack)
     F = stack.predict(xs)
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
     lower = np.full(cfg.Np, cfg.u_min + wind_estimate)

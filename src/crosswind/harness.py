@@ -2,11 +2,11 @@
 
 One TraceRecord is emitted per control step. The loop is: measure,
 controller step (PID on the filtered measurement, MPC on the observer
-state), feed-forward subtraction, push the command into the shared delay
-buffer, advance the observer with the same delayed command the plant
-receives, then step the plant. The controller consumes the observer
-estimate from before this step's update so the kd-sample shift stays
-aligned with the buffered commands.
+state), feed-forward subtraction and the one clip to the torque limit,
+push the command into the shared delay buffer, advance the observer
+with the same delayed command the plant receives, then step the plant.
+The controller consumes the observer estimate from before this step's
+update so the kd-sample shift stays aligned with the buffered commands.
 """
 
 from __future__ import annotations
@@ -58,116 +58,117 @@ class TraceRecord:
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Run one closed-loop scenario; returns the per-step trace.
 
-    QP infeasibility falls back to the saturated closed-form law and
-    flags the record; plant divergence raises PlantDivergenceError
-    carrying the partial trace.
+    The observer, the controller and the plant are chosen once, before
+    the loop. QP infeasibility falls back to the saturated closed-form
+    law and flags the record; plant divergence raises
+    PlantDivergenceError carrying the partial trace.
     """
     rp = cfg.plant_params
-    cm = continuous_roll_model(rp)
-    dm = discretize_zoh(cm, cfg.Ts, rp.input_delay_Td)
-    am = augment(dm)
+    limit = rp.torque_limit
+    dm = discretize_zoh(continuous_roll_model(rp), cfg.Ts, rp.input_delay_Td)
+    buffer = InputBuffer(dm.kd)
+    observer, observe = _observer(cfg, augment(dm))
+    control = _controller(cfg, dm, buffer)
+    plant, advance = _plant(cfg, dm)
+    rng = np.random.default_rng(cfg.rng_seed)
+    half_span = rp.wingspan_d / 2.0
+    trace: list = []
 
-    gain = None
+    for k in range(round(cfg.duration / cfg.Ts)):
+        t = k * cfg.Ts
+        tau_w = cfg.wind_torque_at(t)
+        y = measure_roll(plant.state, cfg.noise_std, rng)
+        wind_ff = observer.filtered_tau_w if cfg.feedforward else 0.0
+        fb, qp_status = control(y, observer, wind_ff)
+        # the one clip of the command (wind_ff is 0 without feed-forward); the
+        # plant gets the command kd steps later as it is
+        cmd = ctrl.feedforward_compensate(fb, wind_ff, limit)
+        applied = buffer.push(cmd)
+        trace.append(TraceRecord(
+            t=t, theta=plant.state.theta, theta_dot=plant.state.theta_dot,
+            wingtip_disp=plant.state.theta * half_span,
+            cmd_torque=cmd, applied_torque=applied, tau_w_true=tau_w,
+            tau_w_hat=observer.tau_w_hat, tau_w_hat_filtered=observer.filtered_tau_w,
+            qp_status=qp_status,
+        ))
+        observer = observe(observer, y, applied)
+        try:
+            advance(cmd, applied, tau_w)
+        except PlantDivergenceError as exc:
+            raise PlantDivergenceError(str(exc), step=k, partial_trace=trace) from None
+
+    return trace
+
+
+def _observer(cfg: ScenarioConfig, am):
+    """Initial observer state and its update; NaN estimates that never change without one."""
+    if cfg.estimator_kind == "none":
+        nan = float("nan")
+        return est.ObserverState(np.array([0.0, 0.0, nan]), nan), lambda obs, y, u: obs
     if cfg.estimator_kind == "pole_place":
         gain = est.place_observer_gain(am, cfg.observer_poles)
-    elif cfg.estimator_kind == "kalman":
-        P = est.solve_filter_are(am, cfg.kalman)
-        gain = est.kalman_gain(am, P, cfg.kalman.R)
-    observer = est.ObserverState()
+    else:
+        gain = est.kalman_gain(am, est.solve_filter_are(am, cfg.kalman), cfg.kalman.R)
+    step, alpha = est.observer_step, cfg.torque_filter_alpha
+    return est.ObserverState(), lambda obs, y, u: step(obs, y, u, gain, am, filter_alpha=alpha)
 
-    pid_cfg = pid_state = None
-    stack = mpc_cfg = None
+
+def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
+    """The feedback step (y, observer, wind_ff) -> (command, qp_status).
+
+    PID acts on the measurement, MPC on the observer estimate from
+    before this step's update.
+    """
+    limit = cfg.plant_params.torque_limit
     if cfg.controller == "pid":
         pid_cfg = ctrl.PidConfig(
             Kp=cfg.pid_kp, Ki=cfg.pid_ki, Kd=cfg.pid_kd, Ts=cfg.Ts,
             derivative_window=cfg.pid_derivative_window,
             meas_filter_alpha=cfg.pid_meas_filter_alpha,
         )
-        pid_state = ctrl.PidState.fresh(pid_cfg)
-    else:
-        Np = cfg.mpc_horizon
-        qc = np.ones(Np)
-        qc[-1] = cfg.mpc_terminal_weight
-        mpc_cfg = ctrl.MpcConfig(
-            Np=Np, Qc_diag=qc, Rc_diag=np.full(Np, cfg.mpc_control_weight),
-            u_min=-rp.torque_limit, u_max=rp.torque_limit,
-            y_min=cfg.mpc_output_min, y_max=cfg.mpc_output_max,
-        )
-        stack = ctrl.build_prediction(dm, mpc_cfg)
+        pid_state, pid_step = ctrl.PidState.fresh(pid_cfg), ctrl.pid_step
+        return lambda y, observer, wind_ff: (pid_step(pid_state, y, pid_cfg, limit), QP_NONE)
 
+    Np = cfg.mpc_horizon
+    qc = np.ones(Np)
+    qc[-1] = cfg.mpc_terminal_weight
+    mpc_cfg = ctrl.MpcConfig(
+        Np=Np, Qc_diag=qc, Rc_diag=np.full(Np, cfg.mpc_control_weight),
+        u_min=-limit, u_max=limit, y_min=cfg.mpc_output_min, y_max=cfg.mpc_output_max,
+    )
+    stack = ctrl.build_prediction(dm, mpc_cfg)
+    closed_form, constrained = ctrl.mpc_unconstrained_step, ctrl.mpc_constrained_step
+
+    def unconstrained(y, observer, wind_ff, status=QP_NONE):
+        x_hat = RollState(theta=float(observer.x_hat[0]), theta_dot=float(observer.x_hat[1]))
+        return closed_form(x_hat, buffer, stack, limit, wind_estimate=wind_ff), status
+
+    if cfg.controller == "mpc_unconstrained":
+        return unconstrained
+
+    def qp(y, observer, wind_ff):
+        x_hat = RollState(theta=float(observer.x_hat[0]), theta_dot=float(observer.x_hat[1]))
+        try:
+            return constrained(x_hat, buffer, stack, mpc_cfg, wind_estimate=wind_ff), QP_OPTIMAL
+        except QpInfeasibleError:
+            return unconstrained(y, observer, wind_ff, QP_FALLBACK)
+
+    return qp
+
+
+def _plant(cfg: ScenarioConfig, dm):
+    """The plant and its step (cmd, applied, tau_w) over one control interval."""
+    rp = cfg.plant_params
     if cfg.plant_kind == "simplified":
         plant = SimplifiedPlantSimulator(
             dm, rp, state=RollState(cfg.initial_theta, cfg.initial_theta_dot))
-    else:
-        plant = FullPlantSimulator(
-            rp, motor1=cfg.motor, motor2=cfg.motor, inner_dt=cfg.inner_dt,
-            state=FullPlantState(theta=cfg.initial_theta, theta_dot=cfg.initial_theta_dot))
-    kc = round(cfg.motor.comm_delay_Tc / cfg.Ts) if cfg.plant_kind == "full" else 0
-
-    buffer = InputBuffer(dm.kd)
-    rng = np.random.default_rng(cfg.rng_seed)
-    half_span = rp.wingspan_d / 2.0
-    n_steps = round(cfg.duration / cfg.Ts)
-    trace: list = []
-
-    for k in range(n_steps):
-        t = k * cfg.Ts
-        tau_w = cfg.wind_torque_at(t)
-        y = measure_roll(plant.state, cfg.noise_std, rng)
-
-        qp_status = QP_NONE
-        wind_ff = observer.filtered_tau_w if cfg.feedforward else 0.0
-        if cfg.controller == "pid":
-            fb = ctrl.pid_step(pid_state, y, pid_cfg, rp.torque_limit)
-        else:
-            x_hat = RollState(theta=float(observer.x_hat[0]),
-                              theta_dot=float(observer.x_hat[1]))
-            if cfg.controller == "mpc_constrained":
-                try:
-                    fb = ctrl.mpc_constrained_step(x_hat, buffer, stack, mpc_cfg,
-                                                   wind_estimate=wind_ff)
-                    qp_status = QP_OPTIMAL
-                except QpInfeasibleError:
-                    fb = ctrl.mpc_unconstrained_step(x_hat, buffer, stack,
-                                                     rp.torque_limit, wind_estimate=wind_ff)
-                    qp_status = QP_FALLBACK
-            else:
-                fb = ctrl.mpc_unconstrained_step(x_hat, buffer, stack,
-                                                 rp.torque_limit, wind_estimate=wind_ff)
-
-        if cfg.feedforward:
-            cmd = ctrl.feedforward_compensate(fb, observer.filtered_tau_w, rp.torque_limit)
-        else:
-            cmd = saturate(fb, rp.torque_limit)
-
-        tau_w_hat = observer.tau_w_hat if gain is not None else float("nan")
-        tau_w_filt = observer.filtered_tau_w if gain is not None else float("nan")
-
-        motor_cmd = buffer.as_array()[kc] if (cfg.plant_kind == "full" and dm.kd > 0) else cmd
-        delayed = buffer.push(cmd)
-        applied = saturate(delayed, rp.torque_limit)
-
-        if gain is not None:
-            observer = est.observer_step(observer, y, applied, gain, am,
-                                         filter_alpha=cfg.torque_filter_alpha)
-
-        record = TraceRecord(
-            t=t, theta=plant.state.theta, theta_dot=plant.state.theta_dot,
-            wingtip_disp=plant.state.theta * half_span,
-            cmd_torque=cmd, applied_torque=applied, tau_w_true=tau_w,
-            tau_w_hat=tau_w_hat, tau_w_hat_filtered=tau_w_filt, qp_status=qp_status,
-        )
-        trace.append(record)
-
-        try:
-            if cfg.plant_kind == "simplified":
-                plant.apply_command(delayed, tau_w)
-            else:
-                plant.apply_command(saturate(motor_cmd, rp.torque_limit), tau_w, cfg.Ts)
-        except PlantDivergenceError as exc:
-            raise PlantDivergenceError(str(exc), step=k, partial_trace=trace) from None
-
-    return trace
+        return plant, lambda cmd, applied, tau_w: plant.apply_command(applied, tau_w)
+    plant = FullPlantSimulator(
+        rp, motor1=cfg.motor, motor2=cfg.motor, inner_dt=cfg.inner_dt,
+        state=FullPlantState(theta=cfg.initial_theta, theta_dot=cfg.initial_theta_dot))
+    # the motors add the communication delay; this line holds the rest of the input delay
+    line = InputBuffer(dm.kd - round(cfg.motor.comm_delay_Tc / cfg.Ts))
+    return plant, lambda cmd, applied, tau_w: plant.apply_command(line.push(cmd), tau_w, cfg.Ts)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,6 @@ class Metrics:
     settling_time: float | None  # after the final disturbance event
     peak_disp: float
     settled: bool
-    response_reduction_pct: float | None = None
 
 
 def compute_metrics(trace: list, band: float, events: list | None = None) -> Metrics:

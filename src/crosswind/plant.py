@@ -55,6 +55,27 @@ def wind_speed_to_torque(v: float, wind_map: WindTorqueMap) -> float:
     return wind_map.direction * wind_map.quad_coeff_c * v * v
 
 
+def _value_at(points: tuple, t: float, before: float) -> float:
+    """Value at t of a piecewise-constant (time, value) schedule; ``before`` ahead of it."""
+    value = before
+    for tb, vb in points:
+        if t >= tb:
+            value = vb
+        else:
+            break
+    return value
+
+
+def _change_times(points: tuple) -> list:
+    """Times at which a schedule's value changes, counting from zero at t=0."""
+    changes, prev = [], 0.0
+    for tb, vb in points:
+        if vb != prev:
+            changes.append(tb)
+        prev = vb
+    return changes
+
+
 @dataclass(frozen=True)
 class WindProfile:
     """Piecewise-constant wind speed, as (start_time, speed) breakpoints."""
@@ -75,23 +96,11 @@ class WindProfile:
         object.__setattr__(self, "breakpoints", bp)
 
     def speed_at(self, t: float) -> float:
-        v = self.breakpoints[0][1]
-        for tb, vb in self.breakpoints:
-            if t >= tb:
-                v = vb
-            else:
-                break
-        return v
+        return _value_at(self.breakpoints, t, self.breakpoints[0][1])
 
     def event_times(self) -> list:
         """Times at which the wind speed actually changes (plus t=0 if nonzero)."""
-        events = []
-        prev = 0.0
-        for tb, vb in self.breakpoints:
-            if vb != prev:
-                events.append(tb)
-            prev = vb
-        return events
+        return _change_times(self.breakpoints)
 
 
 def weight_to_torque(mass_lb: float, rp: RollPlantParams) -> float:
@@ -124,26 +133,14 @@ class WeightDisturbance:
         object.__setattr__(self, "schedule", sched)
 
     def mass_at(self, t: float) -> float:
-        m = 0.0
-        for tb, mb in self.schedule:
-            if t >= tb:
-                m = mb
-            else:
-                break
-        return m
+        return _value_at(self.schedule, t, 0.0)
 
     def torque_at(self, t: float, rp: RollPlantParams) -> float:
         sign = -1.0 if self.side == "left" else 1.0
         return sign * weight_to_torque(self.mass_at(t), rp)
 
     def event_times(self) -> list:
-        events = []
-        prev = 0.0
-        for tb, mb in self.schedule:
-            if mb != prev:
-                events.append(tb)
-            prev = mb
-        return events
+        return _change_times(self.schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +353,7 @@ class FullPlantSimulator:
         self._voltage_line = deque([(0.0, 0.0)] * n_delay)
 
     def apply_command(self, tau_cmd: float, tau_w: float, Ts: float) -> None:
-        """Advance one control interval under a held torque command."""
+        """Advance one control interval under a held torque command, not clipped here."""
         voltages = torque_to_voltages(tau_cmd, self.motor1, self.motor2, self.rp)
         n_inner = max(1, round(Ts / self.inner_dt))
         for _ in range(n_inner):
@@ -373,6 +370,15 @@ class FullPlantSimulator:
 # simplified plant
 
 
+def _roll_step(s: RollState, tau: float, dm: DiscreteModel) -> RollState:
+    """The exact discrete map under the total roll torque tau."""
+    theta = dm.A[0, 0] * s.theta + dm.A[0, 1] * s.theta_dot + dm.B[0, 0] * tau
+    theta_dot = dm.A[1, 0] * s.theta + dm.A[1, 1] * s.theta_dot + dm.B[1, 0] * tau
+    if not (math.isfinite(theta) and math.isfinite(theta_dot)):
+        raise PlantDivergenceError("simplified plant state became non-finite")
+    return RollState(theta=theta, theta_dot=theta_dot)
+
+
 def step_simplified_plant(s: RollState, applied_torque: float, tau_w: float,
                           dm: DiscreteModel, rp: RollPlantParams) -> RollState:
     """Exact discrete step with actuator saturation at application.
@@ -381,12 +387,7 @@ def step_simplified_plant(s: RollState, applied_torque: float, tau_w: float,
     the physical limits before entering the dynamics together with the
     wind torque.
     """
-    tau = saturate(applied_torque, rp.torque_limit) + tau_w
-    theta = dm.A[0, 0] * s.theta + dm.A[0, 1] * s.theta_dot + dm.B[0, 0] * tau
-    theta_dot = dm.A[1, 0] * s.theta + dm.A[1, 1] * s.theta_dot + dm.B[1, 0] * tau
-    if not (math.isfinite(theta) and math.isfinite(theta_dot)):
-        raise PlantDivergenceError("simplified plant state became non-finite")
-    return RollState(theta=theta, theta_dot=theta_dot)
+    return _roll_step(s, saturate(applied_torque, rp.torque_limit) + tau_w, dm)
 
 
 class SimplifiedPlantSimulator:
@@ -401,7 +402,7 @@ class SimplifiedPlantSimulator:
     def apply_command(self, applied_torque: float, tau_w: float) -> float:
         """Advance one sample; returns the saturated torque actually applied."""
         tau_sat = saturate(applied_torque, self.rp.torque_limit)
-        self.state = step_simplified_plant(self.state, tau_sat, tau_w, self.dm, self.rp)
+        self.state = _roll_step(self.state, tau_sat + tau_w, self.dm)
         if abs(self.state.theta) > 1e3:
             raise PlantDivergenceError("simplified plant roll angle diverged")
         return tau_sat

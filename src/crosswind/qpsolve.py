@@ -157,12 +157,13 @@ def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
 class QpWorkspace:
     """The fixed part of a family of QPs: H and the row matrix.
 
-    Built once, it validates H, caches inv(2H) (the fast path returns
-    exactly -inv(2H) f) and, for the stacked constraints of
-    ``constraint_stack``, the normals mapped through inv(2H) and their
-    inner products. Every constraint normal is plus or minus a row of
-    N = [I; rows], so only N's products are stored. ``solve`` is
-    stateless: the same inputs give the same bits.
+    Built once, it validates H and caches ``H2_inv`` = inv(2H), the one
+    inverse of H (the fast path returns exactly -inv(2H) f). For the
+    stacked constraints of ``constraint_stack`` it also caches the
+    normals mapped through inv(2H) and their inner products. Every
+    constraint normal is plus or minus a row of N = [I; rows], so only
+    N's products are stored. ``solve`` is stateless: the same inputs
+    give the same bits.
     """
 
     def __init__(self, H, rows=None):
@@ -178,10 +179,10 @@ class QpWorkspace:
         self.H = H
         self.rows = rows
         self.n = n
-        E_inv = np.linalg.inv(2.0 * H)
-        self._neg_E_inv = -E_inv
+        self.H2_inv = np.linalg.inv(2.0 * H)
+        self.H2_inv.setflags(write=False)
         self._H2 = 2.0 * H
-        self._W = E_inv @ N.T
+        self._W = self.H2_inv @ N.T
         self._P = N @ self._W
         # stacked constraint k is sign[k] times row base[k] of N
         k = np.arange(N.shape[0])
@@ -227,7 +228,7 @@ class QpWorkspace:
         gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out below
         scale = np.maximum(1.0, np.abs(gamma))
 
-        u = self._neg_E_inv @ f
+        u = self.H2_inv @ -f  # -(H2_inv @ f) would turn an exact +0 into -0
         slack = self._slack(u, gamma)
         viol = np.where(usable, slack / scale, -np.inf)
         lam = np.zeros(gamma.size)

@@ -10,6 +10,7 @@ and mirrored by ``SCENARIO_SCHEMA`` below.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ScenarioError
 from .estimator import KalmanConfig
 from .model import RollPlantParams
-from .plant import MotorParams, WeightDisturbance, WindProfile, WindTorqueMap
+from .plant import MotorParams, WeightDisturbance, WindProfile, WindTorqueMap, wind_speed_to_torque
 
 PLANT_KINDS = ("simplified", "full")
 CONTROLLERS = ("pid", "mpc_constrained", "mpc_unconstrained")
@@ -126,21 +127,16 @@ class ScenarioConfig:
     def wind_torque_at(self, t: float) -> float:
         """True disturbance torque at time t."""
         if self.wind_profile is not None:
-            v = self.wind_profile.speed_at(t)
-            return self.wind_map.direction * self.wind_map.quad_coeff_c * v * v
+            return wind_speed_to_torque(self.wind_profile.speed_at(t), self.wind_map)
         if self.weights is not None:
             return self.weights.torque_at(t, self.plant_params)
         return 0.0
 
     def event_times(self) -> list:
-        """Disturbance-change instants, quantized to the control grid."""
-        if self.wind_profile is not None:
-            raw = self.wind_profile.event_times()
-        elif self.weights is not None:
-            raw = self.weights.event_times()
-        else:
-            raw = []
-        return [round(t / self.Ts) * self.Ts for t in raw if t < self.duration]
+        """Disturbance-change instants, quantized to the control grid, each once."""
+        disturbance = self.wind_profile or self.weights
+        raw = disturbance.event_times() if disturbance is not None else []
+        return list(dict.fromkeys(round(t / self.Ts) * self.Ts for t in raw if t < self.duration))
 
 
 def _convert(kind: str, raw: str, where: str):
@@ -309,28 +305,39 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
 
 def _validate(cfg: ScenarioConfig) -> None:
     problems = []
-    if not cfg.duration > 0:
-        problems.append("scenario.duration must be > 0")
-    if not cfg.Ts > 0:
-        problems.append("scenario.ts must be > 0")
-    if cfg.noise_std < 0:
-        problems.append("scenario.noise_std must be >= 0")
-    ratio = cfg.plant_params.input_delay_Td / cfg.Ts if cfg.Ts > 0 else float("nan")
-    if cfg.Ts > 0 and abs(ratio - round(ratio)) > 1e-9:
-        problems.append("plant_params.input_delay must be an integer multiple of scenario.ts")
+    ts_ok = math.isfinite(cfg.Ts) and cfg.Ts > 0
+    if not ts_ok:
+        problems.append("scenario.ts must be finite and > 0")
+    if not (math.isfinite(cfg.duration) and cfg.duration > 0):
+        problems.append("scenario.duration must be finite and > 0")
+    elif ts_ok and not 0.5 < cfg.duration / cfg.Ts < math.inf:  # round() of it is n_steps
+        problems.append("scenario.duration must span 1 to finitely many scenario.ts steps")
+    if not (math.isfinite(cfg.noise_std) and cfg.noise_std >= 0):
+        problems.append("scenario.noise_std must be finite and >= 0")
+    for key in ("initial_theta", "initial_theta_dot"):
+        if not math.isfinite(getattr(cfg, key)):
+            problems.append(f"scenario.{key} must be finite")
+    if cfg.rng_seed < 0:
+        problems.append("scenario.rng_seed must be >= 0")
+    if cfg.mpc_horizon < 1:
+        problems.append("mpc.horizon must be >= 1")
+    if ts_ok:
+        ratio = cfg.plant_params.input_delay_Td / cfg.Ts
+        if abs(ratio - round(ratio)) > 1e-9:
+            problems.append("plant_params.input_delay must be an integer multiple of scenario.ts")
     if cfg.feedforward and cfg.estimator_kind == "none":
         problems.append("scenario.feedforward requires an estimator")
     if cfg.controller in ("mpc_constrained", "mpc_unconstrained") and cfg.estimator_kind == "none":
         problems.append("MPC controllers require an estimator (the roll rate is not measured)")
     if (cfg.mpc_output_min is None) != (cfg.mpc_output_max is None):
         problems.append("mpc.output_min and mpc.output_max must be set together")
-    if cfg.mpc_output_min is not None and not cfg.mpc_output_min < cfg.mpc_output_max:
+    elif cfg.mpc_output_min is not None and not cfg.mpc_output_min < cfg.mpc_output_max:
         problems.append("mpc.output_min must be < mpc.output_max")
     if any(abs(pole) >= 1.0 for pole in cfg.observer_poles):
         problems.append("estimator_params.poles must lie inside the unit circle")
     if not 0 < cfg.torque_filter_alpha <= 1:
         problems.append("estimator_params.torque_filter_alpha must be in (0, 1]")
-    if cfg.plant_kind == "full":
+    if cfg.plant_kind == "full" and ts_ok:
         tc_ratio = cfg.motor.comm_delay_Tc / cfg.Ts
         if abs(tc_ratio - round(tc_ratio)) > 1e-9:
             problems.append("motor.comm_delay must be an integer multiple of scenario.ts")

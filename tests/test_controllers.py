@@ -175,7 +175,7 @@ class TestBuildPrediction:
 
     def test_h_inverse_verified(self, stack):
         Np = stack.H.shape[0]
-        assert np.max(np.abs(stack.H @ stack.H_inv - np.eye(Np))) < 1e-9
+        assert np.max(np.abs(stack.H @ (2.0 * stack.qp.H2_inv) - np.eye(Np))) < 1e-9
 
     def test_predictor_matches_simulation(self, nominal_dm, nominal_params, rng):
         """Y = Phi x_shifted + G U against stepwise simulation, Np = 3."""

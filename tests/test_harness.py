@@ -16,7 +16,7 @@ from crosswind.harness import (
     write_trace,
 )
 from crosswind.qpsolve import QpWorkspace
-from crosswind.scenario import load_bundled_scenario, parse_scenario
+from crosswind.scenario import bundled_scenario_names, load_bundled_scenario, parse_scenario
 
 QUIET = """
 [scenario]
@@ -56,12 +56,11 @@ class TestRunScenario:
             assert r.wingtip_disp == r.theta * d / 2
 
     def test_causality_and_saturation(self):
-        for name in ("fig8_mpc_weight_step", "fig8_pid_weight_step",
-                     "fullplant_weight_step"):
+        for name in bundled_scenario_names():
             cfg = load_bundled_scenario(name)
             trace = run_scenario(cfg)
             kd = round(cfg.plant_params.input_delay_Td / cfg.Ts)
-            assert check_causality(trace, kd, cfg.plant_params.torque_limit)
+            assert check_causality(trace, kd, cfg.plant_params.torque_limit, atol=0.0), name
 
     def test_estimator_columns_nan_without_estimator(self):
         cfg = load_bundled_scenario("fig8_pid_weight_step")

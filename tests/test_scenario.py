@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
+from crosswind.cli import main as cli_main
 from crosswind.errors import ScenarioError
+from crosswind.harness import compute_metrics, run_scenario
 from crosswind.scenario import (
     bundled_scenario_names,
     load_bundled_scenario,
@@ -63,6 +67,14 @@ schedule = 10:15, 35:0
         assert cfg.weights.schedule == ((10.0, 15.0), (35.0, 0.0))
         assert cfg.wind_torque_at(12.0) > 0
 
+    @pytest.mark.parametrize("schedule", ["10:5, 10:15", "10:15, 10.04:0"])
+    def test_changes_within_one_control_step_are_one_event(self, schedule):
+        cfg = load_bundled_scenario("fig8_mpc_weight_step",
+                                    overrides={"weights.schedule": schedule})
+        assert cfg.event_times() == [10.0]
+        metrics = compute_metrics(run_scenario(cfg), 0.02, cfg.event_times())
+        assert len(metrics.per_event) == 1 and metrics.settled
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
             parse_scenario("[mystery]\nx = 1\n")
@@ -105,6 +117,26 @@ schedule = 5:10
     def test_negative_duration_rejected(self):
         with pytest.raises(ScenarioError, match="duration"):
             parse_scenario("[scenario]\nduration = -5\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("scenario.duration", "inf"),
+        ("scenario.duration", "0.05"),  # below one control step
+        ("scenario.ts", "inf"),
+        ("scenario.ts", "0"),  # the full plant's comm-delay check divided by it
+        ("mpc.horizon", "0"),
+        ("mpc.horizon", "-3"),
+        ("scenario.noise_std", "nan"),
+        ("scenario.initial_theta", "nan"),
+        ("scenario.initial_theta_dot", "nan"),
+        ("scenario.rng_seed", "-1"),
+        ("mpc.output_min", "-0.01"),  # without mpc.output_max
+    ])
+    def test_bad_value_is_rejected_naming_its_key(self, key, value, capsys):
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            load_bundled_scenario("fullplant_weight_step", overrides={key: value})
+        code = cli_main(["sweep", "fullplant_weight_step",
+                         "--param", key, "--values", value])
+        assert code == 1 and key in capsys.readouterr().err
 
     def test_output_bounds_must_pair(self):
         with pytest.raises(ScenarioError):
