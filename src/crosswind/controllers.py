@@ -184,7 +184,7 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
     qp = QpWorkspace(H, rows=G if cfg.y_min is not None else None)
     H_inv = 2.0 * qp.H2_inv  # scaling by 2 is exact: this is inv(H) to the bit
     residual = np.max(np.abs(H @ H_inv - np.eye(Np)))
-    if residual > 1e-9:
+    if not residual <= 1e-9:  # a NaN residual fails too
         raise InvalidParameterError(
             f"H inverse verification failed: |H H^-1 - I| = {residual:.3e}"
         )

@@ -69,7 +69,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     buffer = InputBuffer(dm.kd)
     observer, observe = _observer(cfg, augment(dm))
     control = _controller(cfg, dm, buffer)
-    plant, advance = _plant(cfg, dm)
+    plant = _plant(cfg, dm)
     rng = np.random.default_rng(cfg.rng_seed)
     half_span = rp.wingspan_d / 2.0
     trace: list = []
@@ -93,7 +93,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
         ))
         observer = observe(observer, y, applied)
         try:
-            advance(cmd, applied, tau_w)
+            plant.apply_command(applied, tau_w)
         except PlantDivergenceError as exc:
             raise PlantDivergenceError(str(exc), step=k, partial_trace=trace) from None
 
@@ -157,18 +157,13 @@ def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
 
 
 def _plant(cfg: ScenarioConfig, dm):
-    """The plant and its step (cmd, applied, tau_w) over one control interval."""
-    rp = cfg.plant_params
+    """The plant, whose apply_command(applied, tau_w) steps one control interval."""
     if cfg.plant_kind == "simplified":
-        plant = SimplifiedPlantSimulator(
-            dm, rp, state=RollState(cfg.initial_theta, cfg.initial_theta_dot))
-        return plant, lambda cmd, applied, tau_w: plant.apply_command(applied, tau_w)
-    plant = FullPlantSimulator(
-        rp, motor1=cfg.motor, motor2=cfg.motor, inner_dt=cfg.inner_dt,
+        return SimplifiedPlantSimulator(
+            dm, cfg.plant_params, state=RollState(cfg.initial_theta, cfg.initial_theta_dot))
+    return FullPlantSimulator(
+        cfg.plant_params, cfg.Ts, motor=cfg.motor, inner_dt=cfg.inner_dt,
         state=FullPlantState(theta=cfg.initial_theta, theta_dot=cfg.initial_theta_dot))
-    # the motors add the communication delay; this line holds the rest of the input delay
-    line = InputBuffer(dm.kd - round(cfg.motor.comm_delay_Tc / cfg.Ts))
-    return plant, lambda cmd, applied, tau_w: plant.apply_command(line.push(cmd), tau_w, cfg.Ts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Ground-truth simulators and disturbance generators.
 
 Two plants are provided: the full sixth-order nonlinear model (roll
-dynamics plus two DC motors and a communication delay) integrated with
+dynamics plus two DC motors behind the input delay) integrated with
 fixed-step RK4, and the simplified saturated linear plant that steps the
 exact discrete map. Wind profiles, wingtip-weight schedules, and the
 measurement-noise model live here too.
@@ -210,7 +210,7 @@ class InputBuffer:
 
 @dataclass(frozen=True)
 class MotorParams:
-    """DC motor constants for one wingtip motor.
+    """DC motor constants, shared by the two identical wingtip motors.
 
     Defaults are not identified from hardware; they are chosen so the
     motor settles much faster than the overall input delay.
@@ -223,7 +223,6 @@ class MotorParams:
     friction_btilde: float = 1e-5
     resistance_Rm: float = 0.2
     inductance_Lm: float = 1e-3
-    comm_delay_Tc: float = 0.1
 
     def __post_init__(self):
         positive = {
@@ -238,8 +237,6 @@ class MotorParams:
         for name, v in positive.items():
             if not (np.isfinite(v) and v > 0):
                 raise InvalidParameterError(f"{name} must be > 0, got {v}")
-        if not (np.isfinite(self.comm_delay_Tc) and self.comm_delay_Tc >= 0):
-            raise InvalidParameterError(f"comm_delay_Tc must be >= 0, got {self.comm_delay_Tc}")
 
 
 def motor_thrust(omega: float, mp: MotorParams) -> float:
@@ -256,8 +253,7 @@ def motor_pair_torque(F1: float, F2: float, d: float) -> float:
     return (F2 - F1) * d / 2.0
 
 
-def torque_to_voltages(tau_cmd: float, mp1: MotorParams, mp2: MotorParams,
-                       rp: RollPlantParams) -> tuple:
+def torque_to_voltages(tau_cmd: float, mp: MotorParams, rp: RollPlantParams) -> tuple:
     """Steady-state voltage pair realizing a commanded torque.
 
     Inverts the thrust law and the motor steady state (zero acceleration,
@@ -265,41 +261,40 @@ def torque_to_voltages(tau_cmd: float, mp1: MotorParams, mp2: MotorParams,
     each motor runs in one direction only.
     """
 
-    def steady_voltage(tau_abs: float, mp: MotorParams) -> float:
+    def steady_voltage(tau_abs: float) -> float:
         thrust = tau_abs / (rp.wingspan_d / 2.0)
         omega = math.sqrt(thrust / mp.thrust_coeff_Ktilde)
         current = (mp.friction_bm * omega + mp.friction_btilde * omega * omega) / mp.torque_const_Km
         return mp.resistance_Rm * current + mp.torque_const_Km * omega
 
     if tau_cmd > 0:
-        return 0.0, steady_voltage(tau_cmd, mp2)
+        return 0.0, steady_voltage(tau_cmd)
     if tau_cmd < 0:
-        return steady_voltage(-tau_cmd, mp1), 0.0
+        return steady_voltage(-tau_cmd), 0.0
     return 0.0, 0.0
 
 
-def _full_plant_rates(s: tuple, mp1: MotorParams, mp2: MotorParams,
-                      rp: RollPlantParams, V1: float, V2: float, tau_w: float) -> tuple:
+def _full_plant_rates(s: tuple, mp: MotorParams, rp: RollPlantParams,
+                      V1: float, V2: float, tau_w: float) -> tuple:
     theta, theta_dot, w1, w2, i1, i2 = s
     w1c = max(w1, 0.0)
     w2c = max(w2, 0.0)
-    F1 = mp1.thrust_coeff_Ktilde * w1c * w1c
-    F2 = mp2.thrust_coeff_Ktilde * w2c * w2c
+    F1 = mp.thrust_coeff_Ktilde * w1c * w1c
+    F2 = mp.thrust_coeff_Ktilde * w2c * w2c
     tau_m = (F2 - F1) * rp.wingspan_d / 2.0
     theta_dd = (-rp.stiffness_K * theta - rp.damping_B * theta_dot + tau_m + tau_w) / rp.inertia_J
-    w1_dot = (mp1.torque_const_Km * i1 - mp1.friction_bm * w1 - mp1.friction_btilde * w1c * w1c) / mp1.rotor_inertia_Jm
-    w2_dot = (mp2.torque_const_Km * i2 - mp2.friction_bm * w2 - mp2.friction_btilde * w2c * w2c) / mp2.rotor_inertia_Jm
-    i1_dot = (V1 - mp1.resistance_Rm * i1 - mp1.torque_const_Km * w1) / mp1.inductance_Lm
-    i2_dot = (V2 - mp2.resistance_Rm * i2 - mp2.torque_const_Km * w2) / mp2.inductance_Lm
+    w1_dot = (mp.torque_const_Km * i1 - mp.friction_bm * w1 - mp.friction_btilde * w1c * w1c) / mp.rotor_inertia_Jm
+    w2_dot = (mp.torque_const_Km * i2 - mp.friction_bm * w2 - mp.friction_btilde * w2c * w2c) / mp.rotor_inertia_Jm
+    i1_dot = (V1 - mp.resistance_Rm * i1 - mp.torque_const_Km * w1) / mp.inductance_Lm
+    i2_dot = (V2 - mp.resistance_Rm * i2 - mp.torque_const_Km * w2) / mp.inductance_Lm
     return (theta_dot, theta_dd, w1_dot, w2_dot, i1_dot, i2_dot)
 
 
-def step_full_plant(s: FullPlantState, mp1: MotorParams, mp2: MotorParams,
-                    rp: RollPlantParams, voltages: tuple, tau_w: float,
-                    dt: float) -> FullPlantState:
+def step_full_plant(s: FullPlantState, mp: MotorParams, rp: RollPlantParams,
+                    voltages: tuple, tau_w: float, dt: float) -> FullPlantState:
     """One RK4 step of the coupled roll + motor ODEs.
 
-    ``voltages`` must already come from a Tc-deep delay line (see
+    ``voltages`` come from the already delayed torque command (see
     FullPlantSimulator). Motor speeds are clamped at zero from below
     after the step since each motor runs in one direction only.
     """
@@ -309,7 +304,7 @@ def step_full_plant(s: FullPlantState, mp1: MotorParams, mp2: MotorParams,
     y0 = (s.theta, s.theta_dot, s.omega_m1, s.omega_m2, s.current_m1, s.current_m2)
 
     def f(y):
-        return _full_plant_rates(y, mp1, mp2, rp, V1, V2, tau_w)
+        return _full_plant_rates(y, mp, rp, V1, V2, tau_w)
 
     k1 = f(y0)
     k2 = f(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
@@ -324,43 +319,38 @@ def step_full_plant(s: FullPlantState, mp1: MotorParams, mp2: MotorParams,
     return FullPlantState(*y1)
 
 
-class FullPlantSimulator:
-    """Full nonlinear plant advanced one control interval at a time.
+def substep_count(Ts: float, inner_dt: float) -> int:
+    """Number of RK4 substeps in one control interval; inner_dt must divide Ts."""
+    if not 0 < inner_dt <= 1e-3 + 1e-12:
+        raise InvalidParameterError(f"inner_dt must be in (0, 1 ms], got {inner_dt}")
+    ratio = Ts / inner_dt
+    if not 0.5 < ratio < math.inf or abs(ratio - round(ratio)) > 1e-9:
+        raise InvalidParameterError(f"inner_dt {inner_dt} s must divide Ts {Ts} s")
+    return round(ratio)
 
-    Holds the Tc-deep voltage-command delay line at inner resolution and
-    converts torque commands to voltages with the steady-state
-    precompensation. Single-owner, mutated in place.
+
+class FullPlantSimulator:
+    """Full nonlinear plant advanced one control interval of Ts at a time.
+
+    Takes the command after the shared input delay, which includes the
+    motors' communication delay, and holds the steady-state voltages that
+    realize it over the RK4 substeps. Single-owner, mutated in place.
     """
 
-    def __init__(self, rp: RollPlantParams, motor1: MotorParams | None = None,
-                 motor2: MotorParams | None = None, inner_dt: float = 1e-3,
-                 state: FullPlantState | None = None):
+    def __init__(self, rp: RollPlantParams, Ts: float, motor: MotorParams | None = None,
+                 inner_dt: float = 1e-3, state: FullPlantState | None = None):
+        self.n_inner = substep_count(Ts, inner_dt)
         self.rp = rp
-        self.motor1 = motor1 or MotorParams()
-        self.motor2 = motor2 or MotorParams()
-        if self.motor1.comm_delay_Tc != self.motor2.comm_delay_Tc:
-            raise InvalidParameterError("both motors must share one communication delay")
-        if self.motor1.comm_delay_Tc > 0 and self.motor1.comm_delay_Tc >= rp.input_delay_Td:
-            raise InvalidParameterError(
-                f"comm delay {self.motor1.comm_delay_Tc} s must be below the total "
-                f"input delay {rp.input_delay_Td} s"
-            )
-        if not 0 < inner_dt <= 1e-3 + 1e-12:
-            raise InvalidParameterError(f"inner_dt must be in (0, 1 ms], got {inner_dt}")
+        self.motor = motor or MotorParams()
         self.inner_dt = inner_dt
         self.state = state or FullPlantState()
-        n_delay = round(self.motor1.comm_delay_Tc / inner_dt)
-        self._voltage_line = deque([(0.0, 0.0)] * n_delay)
 
-    def apply_command(self, tau_cmd: float, tau_w: float, Ts: float) -> None:
-        """Advance one control interval under a held torque command, not clipped here."""
-        voltages = torque_to_voltages(tau_cmd, self.motor1, self.motor2, self.rp)
-        n_inner = max(1, round(Ts / self.inner_dt))
-        for _ in range(n_inner):
-            self._voltage_line.append(voltages)
-            applied_v = self._voltage_line.popleft()
+    def apply_command(self, applied_torque: float, tau_w: float) -> None:
+        """Advance one control interval under the delayed command, not clipped here."""
+        voltages = torque_to_voltages(applied_torque, self.motor, self.rp)
+        for _ in range(self.n_inner):
             self.state = step_full_plant(
-                self.state, self.motor1, self.motor2, self.rp, applied_v, tau_w, self.inner_dt
+                self.state, self.motor, self.rp, voltages, tau_w, self.inner_dt
             )
         if abs(self.state.theta) > 1e3:
             raise PlantDivergenceError("full plant roll angle diverged")

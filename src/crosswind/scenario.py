@@ -16,10 +16,11 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import InvalidParameterError, ScenarioError
 from .estimator import KalmanConfig
 from .model import RollPlantParams
-from .plant import MotorParams, WeightDisturbance, WindProfile, WindTorqueMap, wind_speed_to_torque
+from .plant import (MotorParams, WeightDisturbance, WindProfile, WindTorqueMap,
+                    substep_count, wind_speed_to_torque)
 
 PLANT_KINDS = ("simplified", "full")
 CONTROLLERS = ("pid", "mpc_constrained", "mpc_unconstrained")
@@ -84,7 +85,6 @@ SCENARIO_SCHEMA = {
         "friction_quad": ("float", "1e-5"),
         "resistance": ("float", "0.2"),
         "inductance": ("float", "0.001"),
-        "comm_delay": ("float", "0.1"),
         "inner_dt": ("float", "0.001"),
     },
 }
@@ -133,10 +133,12 @@ class ScenarioConfig:
         return 0.0
 
     def event_times(self) -> list:
-        """Disturbance-change instants, quantized to the control grid, each once."""
+        """Disturbance-change instants on the control grid, each once, before the run ends."""
         disturbance = self.wind_profile or self.weights
         raw = disturbance.event_times() if disturbance is not None else []
-        return list(dict.fromkeys(round(t / self.Ts) * self.Ts for t in raw if t < self.duration))
+        n_steps = round(self.duration / self.Ts)
+        steps = (round(t / self.Ts) for t in raw)
+        return list(dict.fromkeys(k * self.Ts for k in steps if k < n_steps))
 
 
 def _convert(kind: str, raw: str, where: str):
@@ -263,7 +265,6 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
             friction_btilde=get("motor", "friction_quad"),
             resistance_Rm=get("motor", "resistance"),
             inductance_Lm=get("motor", "inductance"),
-            comm_delay_Tc=get("motor", "comm_delay"),
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
@@ -337,12 +338,16 @@ def _validate(cfg: ScenarioConfig) -> None:
         problems.append("estimator_params.poles must lie inside the unit circle")
     if not 0 < cfg.torque_filter_alpha <= 1:
         problems.append("estimator_params.torque_filter_alpha must be in (0, 1]")
+    if not (math.isfinite(cfg.mpc_terminal_weight)
+            and cfg.mpc_terminal_weight >= (1 if cfg.mpc_horizon > 1 else 0)):
+        problems.append("mpc.terminal_weight must be finite and >= the other output weights (1)")
+    if not (math.isfinite(cfg.mpc_control_weight) and cfg.mpc_control_weight > 0):
+        problems.append("mpc.control_weight must be finite and > 0")
     if cfg.plant_kind == "full" and ts_ok:
-        tc_ratio = cfg.motor.comm_delay_Tc / cfg.Ts
-        if abs(tc_ratio - round(tc_ratio)) > 1e-9:
-            problems.append("motor.comm_delay must be an integer multiple of scenario.ts")
-        if cfg.motor.comm_delay_Tc > 0 and cfg.motor.comm_delay_Tc >= cfg.plant_params.input_delay_Td:
-            problems.append("motor.comm_delay must be below plant_params.input_delay")
+        try:
+            substep_count(cfg.Ts, cfg.inner_dt)
+        except InvalidParameterError as exc:
+            problems.append(f"motor.{exc}")
     if problems:
         raise ScenarioError("invalid scenario: " + "; ".join(problems))
 

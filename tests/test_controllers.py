@@ -177,6 +177,12 @@ class TestBuildPrediction:
         Np = stack.H.shape[0]
         assert np.max(np.abs(stack.H @ (2.0 * stack.qp.H2_inv) - np.eye(Np))) < 1e-9
 
+    @pytest.mark.parametrize("terminal,rc", [(float("nan"), 1e-9), (50.0, float("inf"))])
+    def test_nan_inverse_residual_fails(self, nominal_dm, terminal, rc):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(InvalidParameterError, match="H inverse verification"):
+            build_prediction(nominal_dm, make_mpc_cfg(terminal=terminal, rc=rc))
+
     def test_predictor_matches_simulation(self, nominal_dm, nominal_params, rng):
         """Y = Phi x_shifted + G U against stepwise simulation, Np = 3."""
         cfg = make_mpc_cfg(Np=3)

@@ -168,53 +168,52 @@ class TestSimplifiedPlant:
 
 
 FAST_MOTOR = MotorParams(rotor_inertia_Jm=0.002, inductance_Lm=1e-4,
-                         friction_btilde=1e-6, comm_delay_Tc=0.1)
+                         friction_btilde=1e-6)
 
 
 class TestFullPlant:
     def test_rest_is_equilibrium(self, nominal_params):
-        sim = FullPlantSimulator(nominal_params)
+        sim = FullPlantSimulator(nominal_params, 0.1)
         for _ in range(20):
-            sim.apply_command(0.0, 0.0, 0.1)
+            sim.apply_command(0.0, 0.0)
         s = sim.state
         assert abs(s.theta) < 1e-15 and abs(s.theta_dot) < 1e-15
 
     def test_static_wind_deflection(self, nominal_params):
-        sim = FullPlantSimulator(nominal_params)
+        sim = FullPlantSimulator(nominal_params, 0.1)
         for _ in range(400):
-            sim.apply_command(0.0, 600.0, 0.1)
+            sim.apply_command(0.0, 600.0)
         expected = 600.0 / nominal_params.stiffness_K  # ~0.02354 rad
         assert sim.state.theta == pytest.approx(expected, abs=1e-4)
         assert sim.state.theta * nominal_params.wingspan_d / 2 == pytest.approx(0.1295, abs=1e-3)
 
     def test_rk4_step_halving(self, nominal_params):
         def endpoint(dt):
-            sim = FullPlantSimulator(nominal_params, inner_dt=dt)
+            sim = FullPlantSimulator(nominal_params, 0.1, inner_dt=dt)
             for k in range(100):
-                sim.apply_command(300.0 if k >= 5 else 0.0, 200.0, 0.1)
+                sim.apply_command(300.0 if k >= 5 else 0.0, 200.0)
             return sim.state.theta
 
         assert abs(endpoint(1e-3) - endpoint(5e-4)) < 1e-6
 
     def test_motor_speeds_stay_nonnegative(self, nominal_params):
-        sim = FullPlantSimulator(nominal_params)
+        sim = FullPlantSimulator(nominal_params, 0.1)
         for k in range(100):
-            sim.apply_command(-400.0 if k % 7 else 350.0, 0.0, 0.1)
+            sim.apply_command(-400.0 if k % 7 else 350.0, 0.0)
             assert sim.state.omega_m1 >= 0.0
             assert sim.state.omega_m2 >= 0.0
 
-    def test_comm_delay_must_be_below_total(self, nominal_params):
-        with pytest.raises(InvalidParameterError):
-            FullPlantSimulator(nominal_params,
-                               motor1=MotorParams(comm_delay_Tc=1.5),
-                               motor2=MotorParams(comm_delay_Tc=1.5))
+    @pytest.mark.parametrize("inner_dt", [7e-4, 2e-3, 0.0, float("nan")])
+    def test_inner_dt_must_divide_ts_and_stay_below_1ms(self, nominal_params, inner_dt):
+        with pytest.raises(InvalidParameterError, match="inner_dt"):
+            FullPlantSimulator(nominal_params, 0.1, inner_dt=inner_dt)
 
     def test_precompensation_inverts_at_steady_state(self, nominal_params):
         # hold one torque command; realized motor torque approaches it
         mp = FAST_MOTOR
-        sim = FullPlantSimulator(nominal_params, motor1=mp, motor2=mp, inner_dt=2e-4)
+        sim = FullPlantSimulator(nominal_params, 0.1, motor=mp, inner_dt=2e-4)
         for _ in range(50):
-            sim.apply_command(367.0, 0.0, 0.1)
+            sim.apply_command(367.0, 0.0)
         s = sim.state
         torque = motor_pair_torque(motor_thrust(s.omega_m1, mp),
                                    motor_thrust(s.omega_m2, mp),
@@ -225,19 +224,14 @@ class TestFullPlant:
         """Model-reduction check: fast motors + precompensated commands give
         the same roll trajectory as the delayed linear model, 5% L-inf."""
         mp = FAST_MOTOR
-        full = FullPlantSimulator(nominal_params, motor1=mp, motor2=mp, inner_dt=2e-4)
+        full = FullPlantSimulator(nominal_params, 0.1, motor=mp, inner_dt=2e-4)
         simp = SimplifiedPlantSimulator(nominal_dm, nominal_params)
-        kd, kc = nominal_dm.kd, round(mp.comm_delay_Tc / 0.1)
-        buf_full = InputBuffer(kd)
-        buf_simp = InputBuffer(kd)
+        buf = InputBuffer(nominal_dm.kd)
         tau_w = 367.0
         full_traj, simp_traj = [], []
         for k in range(200):
-            cmd = 150.0 if 40 <= k < 120 else 0.0
-            motor_cmd = buf_full.as_array()[kc]
-            buf_full.push(cmd)
-            full.apply_command(motor_cmd, tau_w, 0.1)
-            applied = buf_simp.push(cmd)
+            applied = buf.push(150.0 if 40 <= k < 120 else 0.0)
+            full.apply_command(applied, tau_w)
             simp.apply_command(applied, tau_w)
             full_traj.append(full.state.theta)
             simp_traj.append(simp.state.theta)
@@ -274,11 +268,11 @@ class TestMeasurement:
 
 class TestTorqueToVoltages:
     def test_zero(self):
-        assert torque_to_voltages(0.0, MotorParams(), MotorParams(), RollPlantParams()) == (0.0, 0.0)
+        assert torque_to_voltages(0.0, MotorParams(), RollPlantParams()) == (0.0, 0.0)
 
     def test_sign_routing(self):
         rp = RollPlantParams()
-        v1, v2 = torque_to_voltages(300.0, MotorParams(), MotorParams(), rp)
+        v1, v2 = torque_to_voltages(300.0, MotorParams(), rp)
         assert v1 == 0.0 and v2 > 0.0
-        v1, v2 = torque_to_voltages(-300.0, MotorParams(), MotorParams(), rp)
+        v1, v2 = torque_to_voltages(-300.0, MotorParams(), rp)
         assert v1 > 0.0 and v2 == 0.0

@@ -75,6 +75,13 @@ schedule = 10:15, 35:0
         metrics = compute_metrics(run_scenario(cfg), 0.02, cfg.event_times())
         assert len(metrics.per_event) == 1 and metrics.settled
 
+    def test_change_at_the_end_of_the_run_is_not_an_event(self):
+        cfg = load_bundled_scenario("fig8_mpc_weight_step", overrides={
+            "scenario.duration": "20", "weights.schedule": "10:15, 19.96:0"})
+        assert cfg.event_times() == [10.0]
+        metrics = compute_metrics(run_scenario(cfg), 0.02, cfg.event_times())
+        assert len(metrics.per_event) == 1 and metrics.settled
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
             parse_scenario("[mystery]\nx = 1\n")
@@ -82,6 +89,11 @@ schedule = 10:15, 35:0
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioError, match="unknown key"):
             parse_scenario("[scenario]\nwarp_drive = on\n")
+
+    def test_comm_delay_is_an_unknown_key(self):
+        # the communication delay is part of plant_params.input_delay
+        with pytest.raises(ScenarioError, match="unknown key motor.comm_delay"):
+            parse_scenario("[motor]\ncomm_delay = 0.1\n")
 
     def test_malformed_value_diagnostic(self):
         with pytest.raises(ScenarioError, match="scenario.duration"):
@@ -122,7 +134,7 @@ schedule = 5:10
         ("scenario.duration", "inf"),
         ("scenario.duration", "0.05"),  # below one control step
         ("scenario.ts", "inf"),
-        ("scenario.ts", "0"),  # the full plant's comm-delay check divided by it
+        ("scenario.ts", "0"),  # a division by it raised ZeroDivisionError
         ("mpc.horizon", "0"),
         ("mpc.horizon", "-3"),
         ("scenario.noise_std", "nan"),
@@ -130,6 +142,13 @@ schedule = 5:10
         ("scenario.initial_theta_dot", "nan"),
         ("scenario.rng_seed", "-1"),
         ("mpc.output_min", "-0.01"),  # without mpc.output_max
+        ("mpc.terminal_weight", "nan"),  # was reported as plant divergence
+        ("mpc.terminal_weight", "0.5"),  # below the other output weights
+        ("mpc.control_weight", "inf"),  # ran to exit 0
+        ("mpc.control_weight", "0"),
+        ("motor.inner_dt", "0.002"),  # above 1 ms
+        ("motor.inner_dt", "nan"),
+        ("motor.inner_dt", "0.0007"),  # 143 substeps made 0.1001 s per 0.1 s step
     ])
     def test_bad_value_is_rejected_naming_its_key(self, key, value, capsys):
         with pytest.raises(ScenarioError, match=re.escape(key)):
