@@ -50,8 +50,8 @@ class WindTorqueMap:
 
 def wind_speed_to_torque(v: float, wind_map: WindTorqueMap) -> float:
     """Roll torque produced by a crosswind of speed v (m/s)."""
-    if v < 0:
-        raise InvalidParameterError(f"wind speed must be >= 0, got {v}")
+    if not (math.isfinite(v) and v >= 0):
+        raise InvalidParameterError(f"wind speed must be finite and >= 0, got {v}")
     return wind_map.direction * wind_map.quad_coeff_c * v * v
 
 
@@ -91,8 +91,8 @@ class WindProfile:
         for (t0, _), (t1, _) in zip(bp, bp[1:]):
             if not t1 > t0:
                 raise InvalidParameterError("wind breakpoint times must be strictly increasing")
-        if any(v < 0 for _, v in bp):
-            raise InvalidParameterError("wind speeds must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for _, v in bp):
+            raise InvalidParameterError("wind speeds must be finite and >= 0")
         object.__setattr__(self, "breakpoints", bp)
 
     def speed_at(self, t: float) -> float:
@@ -105,8 +105,8 @@ class WindProfile:
 
 def weight_to_torque(mass_lb: float, rp: RollPlantParams) -> float:
     """Torque magnitude of a wingtip weight: mass * g-equivalent * d/2."""
-    if mass_lb < 0:
-        raise InvalidParameterError(f"mass must be >= 0, got {mass_lb}")
+    if not (math.isfinite(mass_lb) and mass_lb >= 0):
+        raise InvalidParameterError(f"mass must be finite and >= 0, got {mass_lb}")
     return mass_lb * LB_TO_N * rp.wingspan_d / 2.0
 
 
@@ -126,8 +126,8 @@ class WeightDisturbance:
         for (t0, _), (t1, _) in zip(sched, sched[1:]):
             if t1 < t0:
                 raise InvalidParameterError("weight schedule times must be non-decreasing")
-        if any(m < 0 for _, m in sched):
-            raise InvalidParameterError("weight masses must be >= 0")
+        if not all(math.isfinite(m) and m >= 0 for _, m in sched):
+            raise InvalidParameterError("weight masses must be finite and >= 0")
         if self.side not in ("left", "right"):
             raise InvalidParameterError(f"side must be 'left' or 'right', got {self.side!r}")
         object.__setattr__(self, "schedule", sched)
@@ -274,25 +274,60 @@ def torque_to_voltages(tau_cmd: float, mp: MotorParams, rp: RollPlantParams) -> 
     return 0.0, 0.0
 
 
-def _full_plant_rates(s: tuple, mp: MotorParams, rp: RollPlantParams,
-                      V1: float, V2: float, tau_w: float) -> tuple:
-    theta, theta_dot, w1, w2, i1, i2 = s
-    w1c = max(w1, 0.0)
-    w2c = max(w2, 0.0)
-    F1 = mp.thrust_coeff_Ktilde * w1c * w1c
-    F2 = mp.thrust_coeff_Ktilde * w2c * w2c
-    tau_m = (F2 - F1) * rp.wingspan_d / 2.0
-    theta_dd = (-rp.stiffness_K * theta - rp.damping_B * theta_dot + tau_m + tau_w) / rp.inertia_J
-    w1_dot = (mp.torque_const_Km * i1 - mp.friction_bm * w1 - mp.friction_btilde * w1c * w1c) / mp.rotor_inertia_Jm
-    w2_dot = (mp.torque_const_Km * i2 - mp.friction_bm * w2 - mp.friction_btilde * w2c * w2c) / mp.rotor_inertia_Jm
-    i1_dot = (V1 - mp.resistance_Rm * i1 - mp.torque_const_Km * w1) / mp.inductance_Lm
-    i2_dot = (V2 - mp.resistance_Rm * i2 - mp.torque_const_Km * w2) / mp.inductance_Lm
-    return (theta_dot, theta_dd, w1_dot, w2_dot, i1_dot, i2_dot)
+def _rk4_substeps(y: tuple, n: int, mp: MotorParams, rp: RollPlantParams,
+                  voltages: tuple, tau_w: float, dt: float) -> tuple:
+    """n RK4 steps of dt of the coupled roll + motor ODEs on six plain floats.
+
+    ``y`` and the result are (theta, theta_dot, omega_m1, omega_m2,
+    current_m1, current_m2). Motor speeds are clamped at zero from below
+    after every step since each motor runs in one direction only, and a
+    non-finite state raises PlantDivergenceError at the step it appears.
+    """
+    K, B, J, d = rp.stiffness_K, rp.damping_B, rp.inertia_J, rp.wingspan_d
+    Kt, Jm, Km = mp.thrust_coeff_Ktilde, mp.rotor_inertia_Jm, mp.torque_const_Km
+    bm, bt, Rm, Lm = mp.friction_bm, mp.friction_btilde, mp.resistance_Rm, mp.inductance_Lm
+    V1, V2 = voltages
+    half, sixth, isfinite = 0.5 * dt, dt / 6.0, math.isfinite
+
+    def rates(theta, theta_dot, w1, w2, i1, i2):
+        # exactly max(w, 0.0) here: w1c, w2c enter only squared, where -0.0 and
+        # 0.0 agree, and a NaN w still reaches the rates through the w terms
+        w1c = w1 if w1 > 0.0 else 0.0
+        w2c = w2 if w2 > 0.0 else 0.0
+        F1 = Kt * w1c * w1c
+        F2 = Kt * w2c * w2c
+        tau_m = (F2 - F1) * d / 2.0
+        return (theta_dot,
+                (-K * theta - B * theta_dot + tau_m + tau_w) / J,
+                (Km * i1 - bm * w1 - bt * w1c * w1c) / Jm,
+                (Km * i2 - bm * w2 - bt * w2c * w2c) / Jm,
+                (V1 - Rm * i1 - Km * w1) / Lm,
+                (V2 - Rm * i2 - Km * w2) / Lm)
+
+    th, thd, w1, w2, i1, i2 = y
+    for _ in range(n):
+        a0, a1, a2, a3, a4, a5 = rates(th, thd, w1, w2, i1, i2)
+        b0, b1, b2, b3, b4, b5 = rates(th + half * a0, thd + half * a1, w1 + half * a2,
+                                       w2 + half * a3, i1 + half * a4, i2 + half * a5)
+        c0, c1, c2, c3, c4, c5 = rates(th + half * b0, thd + half * b1, w1 + half * b2,
+                                       w2 + half * b3, i1 + half * b4, i2 + half * b5)
+        d0, d1, d2, d3, d4, d5 = rates(th + dt * c0, thd + dt * c1, w1 + dt * c2,
+                                       w2 + dt * c3, i1 + dt * c4, i2 + dt * c5)
+        th = th + sixth * (a0 + 2 * b0 + 2 * c0 + d0)
+        thd = thd + sixth * (a1 + 2 * b1 + 2 * c1 + d1)
+        w1 = max(w1 + sixth * (a2 + 2 * b2 + 2 * c2 + d2), 0.0)
+        w2 = max(w2 + sixth * (a3 + 2 * b3 + 2 * c3 + d3), 0.0)
+        i1 = i1 + sixth * (a4 + 2 * b4 + 2 * c4 + d4)
+        i2 = i2 + sixth * (a5 + 2 * b5 + 2 * c5 + d5)
+        if not (isfinite(th) and isfinite(thd) and isfinite(w1) and isfinite(w2)
+                and isfinite(i1) and isfinite(i2)):
+            raise PlantDivergenceError("full plant state became non-finite")
+    return th, thd, w1, w2, i1, i2
 
 
 def step_full_plant(s: FullPlantState, mp: MotorParams, rp: RollPlantParams,
                     voltages: tuple, tau_w: float, dt: float) -> FullPlantState:
-    """One RK4 step of the coupled roll + motor ODEs.
+    """One RK4 step of the coupled roll + motor ODEs (the kernel with n = 1).
 
     ``voltages`` come from the already delayed torque command (see
     FullPlantSimulator). Motor speeds are clamped at zero from below
@@ -300,23 +335,8 @@ def step_full_plant(s: FullPlantState, mp: MotorParams, rp: RollPlantParams,
     """
     if dt > 1e-3 + 1e-12:
         raise InvalidParameterError(f"inner integration step must be <= 1 ms, got {dt}")
-    V1, V2 = voltages
-    y0 = (s.theta, s.theta_dot, s.omega_m1, s.omega_m2, s.current_m1, s.current_m2)
-
-    def f(y):
-        return _full_plant_rates(y, mp, rp, V1, V2, tau_w)
-
-    k1 = f(y0)
-    k2 = f(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
-    k3 = f(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
-    k4 = f(tuple(y + dt * k for y, k in zip(y0, k3)))
-    y1 = [y + dt / 6.0 * (a + 2 * b + 2 * c + d)
-          for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
-    y1[2] = max(y1[2], 0.0)
-    y1[3] = max(y1[3], 0.0)
-    if not all(math.isfinite(v) for v in y1):
-        raise PlantDivergenceError("full plant state became non-finite")
-    return FullPlantState(*y1)
+    y = (s.theta, s.theta_dot, s.omega_m1, s.omega_m2, s.current_m1, s.current_m2)
+    return FullPlantState(*_rk4_substeps(y, 1, mp, rp, voltages, tau_w, dt))
 
 
 def substep_count(Ts: float, inner_dt: float) -> int:
@@ -346,12 +366,18 @@ class FullPlantSimulator:
         self.state = state or FullPlantState()
 
     def apply_command(self, applied_torque: float, tau_w: float) -> None:
-        """Advance one control interval under the delayed command, not clipped here."""
+        """Advance one control interval under the delayed command, not clipped here.
+
+        A non-finite command raises PlantDivergenceError, as on the
+        simplified plant; ``torque_to_voltages`` would map NaN to rest.
+        """
+        if not math.isfinite(applied_torque):
+            raise PlantDivergenceError("full plant command is not finite")
         voltages = torque_to_voltages(applied_torque, self.motor, self.rp)
-        for _ in range(self.n_inner):
-            self.state = step_full_plant(
-                self.state, self.motor, self.rp, voltages, tau_w, self.inner_dt
-            )
+        s = self.state
+        y = (s.theta, s.theta_dot, s.omega_m1, s.omega_m2, s.current_m1, s.current_m2)
+        self.state = FullPlantState(*_rk4_substeps(
+            y, self.n_inner, self.motor, self.rp, voltages, tau_w, self.inner_dt))
         if abs(self.state.theta) > 1e3:
             raise PlantDivergenceError("full plant roll angle diverged")
 

@@ -179,6 +179,14 @@ def _convert(kind: str, raw: str, where: str):
     raise AssertionError(f"unknown converter {kind}")
 
 
+def _build(where: str, make, **kwargs):
+    """``make(**kwargs)``, with a ValueError reported as a ScenarioError naming ``where``."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
 def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
     """Parse and validate a scenario document into a ScenarioConfig.
 
@@ -235,19 +243,15 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
     wind_profile = wind_map = weights = None
     profile_pairs = get("wind", "profile")
     schedule_pairs = get("weights", "schedule")
-    if profile_pairs is not None and schedule_pairs is not None:
+    if profile_pairs is not None:
+        wind_profile = _build("wind.profile", WindProfile, breakpoints=profile_pairs)
+        wind_map = _build("wind", WindTorqueMap, quad_coeff_c=get("wind", "quad_coeff"),
+                          direction=get("wind", "direction"))
+    if schedule_pairs is not None:
+        weights = _build("weights.schedule", WeightDisturbance,
+                         schedule=schedule_pairs, side=get("weights", "side"))
+    if wind_profile is not None and weights is not None:
         raise ScenarioError("a scenario may define wind or weights, not both")
-    try:
-        if profile_pairs is not None:
-            wind_profile = WindProfile(breakpoints=profile_pairs)
-            wind_map = WindTorqueMap(
-                quad_coeff_c=get("wind", "quad_coeff"),
-                direction=get("wind", "direction"),
-            )
-        if schedule_pairs is not None:
-            weights = WeightDisturbance(schedule=schedule_pairs, side=get("weights", "side"))
-    except ValueError as exc:
-        raise ScenarioError(f"disturbance: {exc}") from None
 
     q_diag = get("estimator_params", "q_diag")
     if len(q_diag) != 3:
@@ -320,6 +324,13 @@ def _validate(cfg: ScenarioConfig) -> None:
             problems.append(f"scenario.{key} must be finite")
     if cfg.rng_seed < 0:
         problems.append("scenario.rng_seed must be >= 0")
+    for key in ("kp", "ki", "kd"):
+        if not math.isfinite(getattr(cfg, f"pid_{key}")):
+            problems.append(f"pid.{key} must be finite")
+    if cfg.pid_derivative_window < 1:
+        problems.append("pid.derivative_window must be >= 1")
+    if not 0 < cfg.pid_meas_filter_alpha <= 1:
+        problems.append("pid.meas_filter_alpha must be in (0, 1]")
     if cfg.mpc_horizon < 1:
         problems.append("mpc.horizon must be >= 1")
     if ts_ok:

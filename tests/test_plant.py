@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from crosswind.errors import BufferLengthError, InvalidParameterError
+from crosswind.errors import BufferLengthError, InvalidParameterError, PlantDivergenceError
+from crosswind.harness import run_scenario
 from crosswind.model import RollPlantParams
 from crosswind.plant import (
     FullPlantSimulator,
@@ -17,11 +18,13 @@ from crosswind.plant import (
     motor_pair_torque,
     motor_thrust,
     saturate,
+    step_full_plant,
     step_simplified_plant,
     torque_to_voltages,
     weight_to_torque,
     wind_speed_to_torque,
 )
+from crosswind.scenario import load_bundled_scenario
 
 
 class TestMotorAlgebra:
@@ -88,8 +91,18 @@ class TestDisturbances:
             WindProfile(breakpoints=((1.0, 0.0),))   # must start at zero
         with pytest.raises(InvalidParameterError):
             WindProfile(breakpoints=((0.0, 0.0), (0.0, 1.0)))  # not increasing
+        for v in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                WindProfile(breakpoints=((0.0, v),))
+            with pytest.raises(InvalidParameterError):
+                wind_speed_to_torque(v, WindTorqueMap())
+
+    @pytest.mark.parametrize("mass", [-1.0, float("nan"), float("inf")])
+    def test_weight_must_be_finite_and_nonnegative(self, mass):
         with pytest.raises(InvalidParameterError):
-            WindProfile(breakpoints=((0.0, -1.0),))
+            WeightDisturbance(schedule=((10.0, 15.0), (20.0, mass)))
+        with pytest.raises(InvalidParameterError):
+            weight_to_torque(mass, RollPlantParams())
 
     def test_weight_schedule(self):
         rp = RollPlantParams()
@@ -166,9 +179,42 @@ class TestSimplifiedPlant:
             assert v <= v_prev + 1e-6
             v_prev = v
 
+    def test_nan_command_is_divergence(self, nominal_dm, nominal_params):
+        sim = SimplifiedPlantSimulator(nominal_dm, nominal_params)
+        with pytest.raises(PlantDivergenceError):
+            sim.apply_command(float("nan"), 0.0)
+
 
 FAST_MOTOR = MotorParams(rotor_inertia_Jm=0.002, inductance_Lm=1e-4,
                          friction_btilde=1e-6)
+
+
+def reference_rk4_step(s, mp, rp, voltages, tau_w, dt):
+    """The RK4 step written out on tuples, the form the kernel must reproduce exactly."""
+    V1, V2 = voltages
+
+    def f(y):
+        theta, theta_dot, w1, w2, i1, i2 = y
+        w1c, w2c = max(w1, 0.0), max(w2, 0.0)
+        F1 = mp.thrust_coeff_Ktilde * w1c * w1c
+        F2 = mp.thrust_coeff_Ktilde * w2c * w2c
+        tau_m = (F2 - F1) * rp.wingspan_d / 2.0
+        Km, bm, bt = mp.torque_const_Km, mp.friction_bm, mp.friction_btilde
+        return (theta_dot,
+                (-rp.stiffness_K * theta - rp.damping_B * theta_dot + tau_m + tau_w) / rp.inertia_J,
+                (Km * i1 - bm * w1 - bt * w1c * w1c) / mp.rotor_inertia_Jm,
+                (Km * i2 - bm * w2 - bt * w2c * w2c) / mp.rotor_inertia_Jm,
+                (V1 - mp.resistance_Rm * i1 - Km * w1) / mp.inductance_Lm,
+                (V2 - mp.resistance_Rm * i2 - Km * w2) / mp.inductance_Lm)
+
+    y0 = (s.theta, s.theta_dot, s.omega_m1, s.omega_m2, s.current_m1, s.current_m2)
+    k1 = f(y0)
+    k2 = f(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
+    k3 = f(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
+    k4 = f(tuple(y + dt * k for y, k in zip(y0, k3)))
+    y1 = [y + dt / 6.0 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
+    y1[2], y1[3] = max(y1[2], 0.0), max(y1[3], 0.0)
+    return FullPlantState(*y1)
 
 
 class TestFullPlant:
@@ -239,6 +285,48 @@ class TestFullPlant:
         simp_traj = np.array(simp_traj)
         err = np.max(np.abs(full_traj - simp_traj)) / np.max(np.abs(simp_traj))
         assert err < 0.05
+
+
+    @pytest.mark.parametrize("motor,inner_dt", [(MotorParams(), 1e-3), (FAST_MOTOR, 2e-4)])
+    @pytest.mark.parametrize("cmd", [350.0, -420.0, 0.0])
+    def test_interval_equals_chained_substeps(self, nominal_params, motor, inner_dt, cmd):
+        tau_w = 200.0
+        sim = FullPlantSimulator(nominal_params, 0.1, motor=motor, inner_dt=inner_dt,
+                                 state=FullPlantState(theta=0.01, theta_dot=-0.02))
+        voltages = torque_to_voltages(cmd, motor, nominal_params)
+        chained = ref = sim.state
+        for _ in range(3):
+            sim.apply_command(cmd, tau_w)
+            for _ in range(sim.n_inner):
+                chained = step_full_plant(chained, motor, nominal_params, voltages, tau_w, inner_dt)
+                ref = reference_rk4_step(ref, motor, nominal_params, voltages, tau_w, inner_dt)
+            assert sim.state == chained == ref
+
+    def test_motor_speed_clamped_after_every_substep(self, nominal_params):
+        # a spinning motor with no voltage and a reverse current is driven below zero
+        s = FullPlantState(omega_m1=1.0, current_m1=-500.0)
+        out = step_full_plant(s, MotorParams(), nominal_params, (0.0, 0.0), 0.0, 1e-3)
+        assert out.omega_m1 == 0.0
+        assert out == reference_rk4_step(s, MotorParams(), nominal_params, (0.0, 0.0), 0.0, 1e-3)
+
+    def test_blow_up_inside_an_interval_raises(self, nominal_params):
+        # the quadratic friction overflows about ten substeps into the interval
+        sim = FullPlantSimulator(nominal_params, 0.1, state=FullPlantState(omega_m1=1e10))
+        with pytest.raises(PlantDivergenceError, match="non-finite"):
+            sim.apply_command(0.0, 0.0)
+
+    def test_blow_up_reports_its_control_step(self):
+        # a 1e308 lb weight at t = 2 s is an infinite torque from step 20 on
+        cfg = load_bundled_scenario("fullplant_weight_step", overrides={
+            "weights.schedule": "2:1e308", "scenario.duration": "3"})
+        with pytest.raises(PlantDivergenceError, match="non-finite") as info:
+            run_scenario(cfg)
+        assert info.value.step == 20 and len(info.value.partial_trace) == 21
+
+    def test_nan_command_is_divergence(self, nominal_params):
+        sim = FullPlantSimulator(nominal_params, 0.1)
+        with pytest.raises(PlantDivergenceError, match="command"):
+            sim.apply_command(float("nan"), 0.0)
 
 
 class TestMeasurement:

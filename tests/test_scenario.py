@@ -149,6 +149,14 @@ schedule = 5:10
         ("motor.inner_dt", "0.002"),  # above 1 ms
         ("motor.inner_dt", "nan"),
         ("motor.inner_dt", "0.0007"),  # 143 substeps made 0.1001 s per 0.1 s step
+        ("weights.schedule", "10:nan"),  # was reported as plant divergence
+        ("wind.profile", "0:nan"),  # checked before wind and weights exclude each other
+        ("pid.kp", "nan"),
+        ("pid.ki", "inf"),
+        ("pid.kd", "nan"),
+        ("pid.derivative_window", "0"),
+        ("pid.meas_filter_alpha", "0"),
+        ("pid.meas_filter_alpha", "nan"),
     ])
     def test_bad_value_is_rejected_naming_its_key(self, key, value, capsys):
         with pytest.raises(ScenarioError, match=re.escape(key)):
