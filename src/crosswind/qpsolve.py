@@ -15,10 +15,18 @@ blocking constraints from the active set and a pure dual step when the
 new constraint depends linearly on the active ones. It ends in finitely
 many steps, and a violated constraint that cannot be added proves the
 QP infeasible. Certificates are verifiable with ``check_kkt``.
+
+Every solve starts cold from the unconstrained minimizer, so its result
+depends only on its inputs (there are no warm starts). Within a solve
+the loop keeps two n x n buffers: the inverse of M_A inv(2H) M_A' for
+the active constraints M_A, bordered on an add and downdated on a drop,
+and the rows of M_A inv(2H), which give each primal direction as one
+vector-matrix product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +39,7 @@ DEFAULT_MAX_ITERS = 5000
 # a constraint whose normal keeps less than this share of its squared
 # inv(2H)-norm after projection off the active normals counts as dependent
 _DEPENDENT_REL = 1e-12
+_MAX_FLOAT = np.finfo(float).max
 
 
 def _check_hessian(H: np.ndarray, n: int) -> None:
@@ -181,26 +190,24 @@ class QpWorkspace:
         self.n = n
         self.H2_inv = np.linalg.inv(2.0 * H)
         self.H2_inv.setflags(write=False)
-        self._H2 = 2.0 * H
-        self._W = self.H2_inv @ N.T
-        self._P = N @ self._W
+        # row k of _WT / _PT: column k of W = inv(2H) N' / of P = N W
+        W = self.H2_inv @ N.T
+        self._PT = np.ascontiguousarray((N @ W).T)
+        self._WT = np.ascontiguousarray(W.T)
         # stacked constraint k is sign[k] times row base[k] of N
         k = np.arange(N.shape[0])
         self._base = np.concatenate([k[:n], k[:n], k[n:], k[n:]])
         self._sign = np.concatenate([np.ones(n), -np.ones(n), np.ones(k.size - n),
                                      -np.ones(k.size - n)])
         self._nonzero = (np.abs(N).max(axis=1) > 0.0)[self._base]
+        self._nonzero_all = bool(self._nonzero.all())
 
     def solve(self, f, lower, upper, row_lower=None, row_upper=None,
               tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-              warm_multipliers: np.ndarray | None = None,
               track_objective: bool = False) -> QpSolution:
         """Solve min u'Hu + f'u within the given bounds; see the module docstring.
 
         Row bounds are required exactly when the workspace has rows.
-        ``warm_multipliers`` (stacked, as returned in ``multipliers``)
-        seed the active set with the constraints they mark positive, when
-        those define a dual-feasible start; otherwise the solve starts cold.
         """
         n = self.n
         f = np.asarray(f, dtype=float).ravel()
@@ -224,43 +231,42 @@ class QpWorkspace:
         elif row_lower is not None or row_upper is not None:
             raise InvalidParameterError("this workspace has no rows; row bounds must be None")
         gamma = np.concatenate(bounds)
-        usable = np.isfinite(gamma) & self._nonzero
-        gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out below
-        scale = np.maximum(1.0, np.abs(gamma))
-
+        # capped so that an infinite bound reads as -inf (met), not as inf / inf
+        scale = np.minimum(np.maximum(1.0, np.abs(gamma)), _MAX_FLOAT)
         u = self.H2_inv @ -f  # -(H2_inv @ f) would turn an exact +0 into -0
         slack = self._slack(u, gamma)
-        viol = np.where(usable, slack / scale, -np.inf)
-        lam = np.zeros(gamma.size)
+        viol_max = (slack / scale).max()  # NaN on a NaN bound: fails the test below
         history: list = []
-        if viol.max() <= tol:
-            iterations, status = 0, "optimal"
-        else:
-            u, lam, iterations, status = self._dual_active_set(
-                f, u, gamma, scale, usable, tol, max_iters, warm_multipliers,
-                history if track_objective else None)
+        if self._nonzero_all and viol_max <= tol:
+            lam, iterations, status = np.zeros(gamma.size), 0, "optimal"
+        else:  # mask out non-finite bounds and zero rows, then iterate
+            usable = np.isfinite(gamma) & self._nonzero
+            gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
+            scale = np.maximum(1.0, np.abs(gamma))
+            mask = np.where(usable, 0.0, -np.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):  # see the ratio test
+                u, lam, iterations, status = self._dual_active_set(
+                    f, u, gamma, scale, mask, tol, max_iters,
+                    history if track_objective else None)
             slack = self._slack(u, gamma)
-            viol = np.where(usable, slack / scale, -np.inf)
+            viol_max = (slack / scale + mask).max()
         return QpSolution(u_star=u, objective=float(u @ self.H @ u + f @ u),
-                          kkt_residual=self._kkt_residual(u, f, lam, slack, scale, usable, viol),
+                          kkt_residual=self._kkt_residual(u, f, lam, slack, scale, viol_max),
                           iterations=iterations, status=status, multipliers=lam,
                           dual_objective_history=history)
 
     def _slack(self, u, gamma):
         """M u - gamma for the stacked constraints, box rows taken on u directly."""
-        n = self.n
         if self.rows is None:
-            return np.concatenate([u - gamma[:n], -gamma[n:] - u])
+            return np.concatenate((u, -u)) - gamma
         y = self.rows @ u
-        r = y.size
-        return np.concatenate([u - gamma[:n], -gamma[n:2 * n] - u,
-                               y - gamma[2 * n:2 * n + r], -gamma[2 * n + r:] - y])
+        return np.concatenate((u, -u, y, -y)) - gamma
 
-    def _kkt_residual(self, u, f, lam, slack, scale, usable, viol):
+    def _kkt_residual(self, u, f, lam, slack, scale, viol_max):
         """``check_kkt`` evaluated on the cached data (equal up to rounding)."""
         n = self.n
-        grad = self._H2 @ u + f
-        primal = max(0.0, viol.max())
+        grad = 2.0 * (self.H @ u) + f  # the bits of (2H) u + f: doubling is exact
+        primal = max(0.0, viol_max)
         if not lam.any():  # zero multipliers: only two terms remain
             g = np.abs(grad).max()
             return float(max(g / max(1.0, g), primal))
@@ -274,129 +280,107 @@ class QpWorkspace:
         comp = (np.abs(lam * slack) / np.maximum(scale, np.abs(lam))).max()
         return float(max(stationarity, primal, dual, comp))
 
-    def _dual_active_set(self, f, u, gamma, scale, usable, tol, max_iters, warm, history):
+    def _dual_active_set(self, f, u, gamma, scale, mask, tol, max_iters, history):
         """Goldfarb-Idnani iterations from the unconstrained minimizer.
 
         The first ``a`` entries of ``act`` and ``lam_A`` hold the active
-        constraints and their multipliers, and the leading a x a block of
-        ``S_inv`` the inverse of M_A inv(2H) M_A'. Invariant: u minimizes
+        constraints and their multipliers, ``base_A``/``sign_A``/``gamma_A``
+        their rows of N, signs and bounds, and row k of ``JT`` the signed
+        column of W of active constraint k. The leading a x a block of
+        ``S_inv`` holds the inverse of M_A inv(2H) M_A'. Invariant: u minimizes
         the Lagrangian at the current multipliers and every active
         constraint holds with equality. At most n independent constraints
         can be active. Returns (u, multipliers, iterations, status).
         """
-        n, base, sign, P, W = self.n, self._base, self._sign, self._P, self._W
+        n, base, sign, PT, WT, H = self.n, self._base, self._sign, self._PT, self._WT, self.H
+        rows = self.rows
         act = np.zeros(n, dtype=np.intp)
+        base_A = np.zeros(n, dtype=np.intp)
+        sign_A = np.zeros(n)
+        gamma_A = np.zeros(n)
         lam_A = np.zeros(n)
+        JT = np.zeros((n, n))
         S_inv = np.zeros((n, n))
-        a = 0
-        if warm is not None:
-            u, a = self._warm_start(u, gamma, usable, warm, act, lam_A, S_inv)
+        a = on_rows = 0  # on_rows: active constraints on rows, whose slack needs rows @ u
         iterations, status = 0, "optimal"
         while status == "optimal":
-            slack = self._slack(u, gamma)
             if a:  # undo the drift of the step updates: active constraints back on equality
-                bA, sA = base[act[:a]], sign[act[:a]]
-                d_lam = S_inv[:a, :a] @ slack[act[:a]]
+                Nu = np.concatenate((u, rows @ u)) if on_rows else u
+                d_lam = S_inv[:a, :a] @ (sign_A[:a] * Nu[base_A[:a]] - gamma_A[:a])
                 lam_A[:a] += d_lam
-                u = u - W[:, bA] @ (sA * d_lam)
-                slack = self._slack(u, gamma)
-            viol = np.where(usable, slack / scale, -np.inf)
+                u = u - d_lam @ JT[:a]
+            slack = self._slack(u, gamma)
+            viol = slack / scale + mask
             p = int(viol.argmax())
             if viol[p] <= tol:
                 break
-            bp, sp = base[p], sign[p]
-            slack_p, lam_p, w_p = slack[p], 0.0, sp * W[:, bp]
+            bp, sp = int(base[p]), float(sign[p])
+            slack_p, lam_p = float(slack[p]), 0.0
+            w_p, p_col = (WT[bp] if sp > 0.0 else -WT[bp]), PT[bp]
+            dependent_below = _DEPENDENT_REL * float(p_col[bp])
             # raise lam_p from zero until constraint p holds with equality
             while True:
                 if iterations == max_iters:
                     status = "max_iters"
                     break
                 iterations += 1
-                bA, sA = base[act[:a]], sign[act[:a]]
-                b = (sp * sA) * P[bA, bp]
-                r = S_inv[:a, :a] @ b  # active multipliers fall by r per unit of lam_p
-                z = W[:, bA] @ (sA * r) - w_p  # primal direction
+                S_a, lam_a = S_inv[:a, :a], lam_A[:a]  # views
+                b = (sp * sign_A[:a]) * p_col[base_A[:a]]
+                r = S_a @ b  # active multipliers fall by r per unit of lam_p
+                z = r @ JT[:a] - w_p  # primal direction
                 # = P[p, p] - b'r, computed without its cancellation
-                curvature = z @ (self._H2 @ z)
-                independent = a < n and curvature > _DEPENDENT_REL * P[bp, bp]
-                full = slack_p / curvature if independent else np.inf
-                ratios = np.divide(np.maximum(lam_A[:a], 0.0), r, out=np.full(a, np.inf),
-                                   where=r > 0.0)
-                j = int(ratios.argmin()) if a else -1
-                step = min(full, ratios[j]) if a else full
-                if step == np.inf:
+                curvature = 2.0 * float(z @ (H @ z))
+                independent = a < n and curvature > dependent_below
+                full = slack_p / curvature if independent else math.inf
+                step, j = full, -1
+                if a:
+                    # only constraints whose multiplier falls (r > 0) can block
+                    ratios = np.maximum(lam_a, 0.0) / r
+                    ratios[r <= 0.0] = np.inf
+                    j = int(ratios.argmin())
+                    step = min(full, float(ratios[j]))
+                if step == math.inf:
                     status = "infeasible"
                     break
-                lam_A[:a] -= step * r
+                lam_a -= step * r
                 lam_p += step
                 if independent:
                     u = u + step * z
                     slack_p -= step * curvature
                 if history is not None:
                     s_now = self._slack(u, gamma)
-                    history.append(float(u @ self.H @ u + f @ u + lam_A[:a] @ s_now[act[:a]]
+                    history.append(float(u @ H @ u + f @ u + lam_a @ s_now[act[:a]]
                                          + lam_p * s_now[p]))
                 if step == full:  # add p, bordering S_inv
-                    rs = r / np.sqrt(curvature)
-                    S_inv[:a, :a] += np.outer(rs, rs)
+                    rs = r / math.sqrt(curvature)
+                    S_a += rs[:, None] * rs
                     S_inv[:a, a] = S_inv[a, :a] = -r / curvature
                     S_inv[a, a] = 1.0 / curvature
-                    act[a], lam_A[a] = p, lam_p
+                    act[a], base_A[a], sign_A[a], gamma_A[a] = p, bp, sp, gamma[p]
+                    lam_A[a], JT[a] = lam_p, w_p
                     a += 1
+                    on_rows += bp >= n
                     break
-                # drop the blocking constraint j: swap it to the end, then cut it off
+                # drop the blocking constraint j: move the last one into its place
                 a -= 1
-                for buf in (act, lam_A):
-                    buf[[j, a]] = buf[[a, j]]
+                on_rows -= base_A[j] >= n
+                for buf in (act, base_A, sign_A, gamma_A, lam_A, JT):
+                    buf[j] = buf[a]
                 S_inv[[j, a], :a + 1] = S_inv[[a, j], :a + 1]
                 S_inv[:a + 1, [j, a]] = S_inv[:a + 1, [a, j]]
-                cs = S_inv[:a, a] / np.sqrt(S_inv[a, a])
-                S_inv[:a, :a] -= np.outer(cs, cs)
+                cs = S_inv[:a, a] / math.sqrt(S_inv[a, a])
+                S_inv[:a, :a] -= cs[:, None] * cs
         lam = np.zeros(gamma.size)
         lam[act[:a]] = lam_A[:a]
         if status != "optimal":
             lam[p] += lam_p
         return u, lam, iterations, status
 
-    def _warm_start(self, u, gamma, usable, warm, act, lam_A, S_inv):
-        """Seed the active set from positive warm multipliers.
-
-        Accepted only if those constraints are independent and the
-        equality-constrained minimizer on them has nonnegative
-        multipliers; the buffers are then filled in place. Returns
-        (u, number of active constraints), which is (u, 0) for a cold start.
-        """
-        warm = np.asarray(warm, dtype=float).ravel()
-        if warm.shape != gamma.shape:
-            return u, 0
-        idx = np.flatnonzero((warm > 0.0) & usable)
-        if not 0 < idx.size <= self.n:
-            return u, 0
-        bA, sA = self._base[idx], self._sign[idx]
-        S = np.outer(sA, sA) * self._P[np.ix_(bA, bA)]
-        try:
-            np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            return u, 0
-        S_inv_A = np.linalg.inv(S)
-        lam = S_inv_A @ self._slack(u, gamma)[idx]
-        if (lam < 0.0).any():
-            return u, 0
-        a = idx.size
-        act[:a], lam_A[:a], S_inv[:a, :a] = idx, lam, S_inv_A
-        return u - self._W[:, bA] @ (sA * lam), a
-
 
 def solve_qp(p: QpProblem, tol: float = DEFAULT_TOL,
              max_iters: int = DEFAULT_MAX_ITERS,
-             warm_multipliers: np.ndarray | None = None,
              track_objective: bool = False) -> QpSolution:
-    """Solve one QP with a one-off ``QpWorkspace``; see the module docstring.
-
-    ``warm_multipliers`` seeds the active set (e.g. with the multipliers
-    of the previous receding-horizon step).
-    """
+    """Solve one QP with a one-off ``QpWorkspace``; see the module docstring."""
     ws = QpWorkspace(p.H, p.rows)
     return ws.solve(p.f, p.lower, p.upper, p.row_lower, p.row_upper, tol=tol,
-                    max_iters=max_iters, warm_multipliers=warm_multipliers,
-                    track_objective=track_objective)
+                    max_iters=max_iters, track_objective=track_objective)

@@ -256,11 +256,16 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
     q_diag = get("estimator_params", "q_diag")
     if len(q_diag) != 3:
         raise ScenarioError("estimator_params.q_diag needs exactly 3 entries")
+    if not all(map(math.isfinite, q_diag)):
+        raise ScenarioError("estimator_params.q_diag must be finite")
+    r = get("estimator_params", "r")
+    if not math.isfinite(r):
+        raise ScenarioError("estimator_params.r must be finite")
     poles = get("estimator_params", "poles")
     if len(poles) != 3:
         raise ScenarioError("estimator_params.poles needs exactly 3 entries")
     try:
-        kalman = KalmanConfig(Q=np.diag(q_diag), R=get("estimator_params", "r"))
+        kalman = KalmanConfig(Q=np.diag(q_diag), R=r)
         motor = MotorParams(
             thrust_coeff_Ktilde=get("motor", "thrust_coeff"),
             rotor_inertia_Jm=get("motor", "rotor_inertia"),
@@ -345,7 +350,7 @@ def _validate(cfg: ScenarioConfig) -> None:
         problems.append("mpc.output_min and mpc.output_max must be set together")
     elif cfg.mpc_output_min is not None and not cfg.mpc_output_min < cfg.mpc_output_max:
         problems.append("mpc.output_min must be < mpc.output_max")
-    if any(abs(pole) >= 1.0 for pole in cfg.observer_poles):
+    if not all(abs(pole) < 1.0 for pole in cfg.observer_poles):  # NaN fails too
         problems.append("estimator_params.poles must lie inside the unit circle")
     if not 0 < cfg.torque_filter_alpha <= 1:
         problems.append("estimator_params.torque_filter_alpha must be in (0, 1]")

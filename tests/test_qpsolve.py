@@ -3,7 +3,9 @@ import pytest
 
 from crosswind.controllers import MpcConfig, build_prediction
 from crosswind.errors import InvalidParameterError
+from crosswind.harness import run_scenario
 from crosswind.qpsolve import QpProblem, QpWorkspace, check_kkt, constraint_stack, solve_qp
+from crosswind.scenario import load_bundled_scenario
 
 
 def random_pd(rng, n, scale=1.0):
@@ -161,17 +163,6 @@ class TestSolverBehavior:
             if sol.dual_objective_history:
                 gap = abs(sol.dual_objective_history[-1] - sol.objective)
                 assert gap < 1e-5 * max(1.0, abs(sol.objective))
-
-    def test_warm_start_consistency(self, rng):
-        H = random_pd(rng, 5)
-        f = rng.normal(scale=4.0, size=5)
-        p = QpProblem(H=H, f=f, lower=np.full(5, -0.2), upper=np.full(5, 0.2))
-        first = solve_qp(p)
-        assert first.status == "optimal"
-        again = solve_qp(p, warm_multipliers=first.multipliers)
-        assert again.status == "optimal"
-        assert again.iterations <= 2
-        assert np.max(np.abs(again.u_star - first.u_star)) < 1e-8
 
     def test_scale_robustness(self, rng):
         H = random_pd(rng, 3)
@@ -344,6 +335,33 @@ class TestWorkspace:
             assert single.status == sol.status == "optimal"
             assert np.max(np.abs(sol.u_star - single.u_star)) < 1e-10
             assert check_kkt(p, sol.u_star, sol.multipliers) < 1e-10
+
+    def test_closed_loop_band_sequence_with_drops(self, monkeypatch):
+        # the QPs of the bundled tight-limit scenario: after the weight step
+        # its torque box and output band bind, and some solves drop constraints
+        calls = []
+        solve = QpWorkspace.solve
+
+        def record(ws, *args, **kwargs):
+            calls.append((ws, args))
+            return solve(ws, *args, **kwargs)
+
+        monkeypatch.setattr(QpWorkspace, "solve", record)
+        run_scenario(load_bundled_scenario("mpc_tight_limit_weight_step",
+                                           overrides={"scenario.duration": "31"}))
+        monkeypatch.undo()
+        with_drops = 0
+        for ws, (f, lo, hi, rl, ru) in calls:
+            sol = ws.solve(f, lo, hi, rl, ru, track_objective=True)
+            assert sol.status == "optimal"
+            p = QpProblem(H=ws.H, f=f, lower=lo, upper=hi, rows=ws.rows,
+                          row_lower=rl, row_upper=ru)
+            assert check_kkt(p, sol.u_star, sol.multipliers) <= 1e-8
+            hist = sol.dual_objective_history
+            assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
+            # every iteration adds or drops one constraint
+            with_drops += sol.iterations > np.count_nonzero(sol.multipliers)
+        assert with_drops
 
     def test_output_pinned_by_equal_band_rows(self, nominal_dm):
         cfg, stack = banded_mpc(nominal_dm, Np=6, u_lim=1000.0, band=0.05)

@@ -157,6 +157,9 @@ schedule = 5:10
         ("pid.derivative_window", "0"),
         ("pid.meas_filter_alpha", "0"),
         ("pid.meas_filter_alpha", "nan"),
+        ("estimator_params.poles", "nan 0.7 0.75"),  # was reported as plant divergence
+        ("estimator_params.r", "nan"),  # the error did not name the key
+        ("estimator_params.q_diag", "nan 0.15 3e8"),  # was "Q must be symmetric"
     ])
     def test_bad_value_is_rejected_naming_its_key(self, key, value, capsys):
         with pytest.raises(ScenarioError, match=re.escape(key)):
