@@ -240,6 +240,8 @@ class QpWorkspace:
         if self._nonzero_all and viol_max <= tol:
             lam, iterations, status = np.zeros(gamma.size), 0, "optimal"
         else:  # mask out non-finite bounds and zero rows, then iterate
+            if not np.isfinite(u).all():  # a non-finite u always fails the test above
+                raise InvalidParameterError("f must be finite, and so must -inv(2H) f")
             usable = np.isfinite(gamma) & self._nonzero
             gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
             scale = np.maximum(1.0, np.abs(gamma))
