@@ -211,7 +211,7 @@ class TestValidation:
                       lower=np.array([1.0]), upper=np.array([-1.0]))
 
     def test_non_finite_f_rejected(self):
-        # a NaN f used to end in a ValueError from a negative active-set size
+        # a NaN f fails the fast-path test and must not reach the active-set loop
         ws = QpWorkspace(np.eye(2), rows=np.array([[1.0, 1.0]]))
         with pytest.raises(InvalidParameterError, match="f must be finite"):
             ws.solve(np.array([np.nan, 0.0]), np.full(2, -1.0), np.full(2, 1.0),
