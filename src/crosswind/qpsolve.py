@@ -365,7 +365,7 @@ class QpWorkspace:
                     break
                 # drop the blocking constraint j: move the last one into its place
                 a -= 1
-                on_rows -= base_A[j] >= n
+                on_rows -= int(base_A[j]) >= n
                 for buf in (act, base_A, sign_A, gamma_A, lam_A, JT):
                     buf[j] = buf[a]
                 S_inv[[j, a], :a + 1] = S_inv[[a, j], :a + 1]
