@@ -70,8 +70,6 @@ from .plant import (
     WindProfile,
     WindTorqueMap,
     measure_roll,
-    motor_pair_torque,
-    motor_thrust,
     step_full_plant,
     step_simplified_plant,
     weight_to_torque,

@@ -11,6 +11,7 @@ delay window is the buffered command plus the estimated wind torque; the
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -39,15 +40,15 @@ class PidConfig:
     meas_filter_alpha: float = 0.5
 
     def __post_init__(self):
-        if not self.Ts > 0:
-            raise InvalidParameterError(f"Ts must be > 0, got {self.Ts}")
+        if not 0 < self.Ts < math.inf:
+            raise InvalidParameterError(f"Ts must be finite and > 0, got {self.Ts}", "Ts")
         if self.derivative_window < 1:
-            raise InvalidParameterError("derivative_window must be >= 1")
+            raise InvalidParameterError("derivative_window must be >= 1", "derivative_window")
         if not 0.0 < self.meas_filter_alpha <= 1.0:
-            raise InvalidParameterError("meas_filter_alpha must be in (0, 1]")
+            raise InvalidParameterError("meas_filter_alpha must be in (0, 1]", "meas_filter_alpha")
         for name in ("Kp", "Ki", "Kd"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite", name)
 
 
 @dataclass
@@ -116,23 +117,25 @@ class MpcConfig:
 
     def __post_init__(self):
         if self.Np < 1:
-            raise InvalidParameterError(f"Np must be >= 1, got {self.Np}")
+            raise InvalidParameterError(f"Np must be >= 1, got {self.Np}", "Np")
         Qc = np.asarray(self.Qc_diag, dtype=float).ravel()
         Rc = np.asarray(self.Rc_diag, dtype=float).ravel()
         if Qc.shape != (self.Np,) or Rc.shape != (self.Np,):
             raise InvalidParameterError("Qc_diag and Rc_diag must have length Np")
-        if np.any(Qc < 0):
-            raise InvalidParameterError("Qc_diag entries must be >= 0")
-        if np.any(Rc <= 0):
-            raise InvalidParameterError("Rc_diag entries must be > 0")
+        if not np.all((0 <= Qc) & (Qc < np.inf)):  # NaN fails too
+            raise InvalidParameterError("Qc_diag entries must be finite and >= 0", "Qc_diag")
+        if not np.all((0 < Rc) & (Rc < np.inf)):
+            raise InvalidParameterError("Rc_diag entries must be finite and > 0", "Rc_diag")
         if self.Np > 1 and Qc[-1] < np.max(Qc[:-1]):
-            raise InvalidParameterError("terminal weight must be >= all other Qc entries")
+            raise InvalidParameterError("terminal weight must be >= all other Qc entries",
+                                        "Qc_diag")
         if not self.u_min < self.u_max:
-            raise InvalidParameterError("u_min must be < u_max")
+            raise InvalidParameterError("u_min must be < u_max", "u_min")
         if (self.y_min is None) != (self.y_max is None):
-            raise InvalidParameterError("y_min and y_max must be set together")
+            raise InvalidParameterError("y_min and y_max must be set together",
+                                        "y_max" if self.y_min is None else "y_min")
         if self.y_min is not None and not self.y_min < self.y_max:
-            raise InvalidParameterError("y_min must be < y_max")
+            raise InvalidParameterError("y_min must be < y_max", "y_min")
         Qc.setflags(write=False)
         Rc.setflags(write=False)
         object.__setattr__(self, "Qc_diag", Qc)

@@ -6,7 +6,14 @@ class CrosswindError(Exception):
 
 
 class InvalidParameterError(CrosswindError, ValueError):
-    """A physical or configuration parameter violates its constraints."""
+    """A physical or configuration parameter violates its constraints.
+
+    ``field`` names the rejected dataclass field or argument, when there is one.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class NonIntegerDelayError(InvalidParameterError):

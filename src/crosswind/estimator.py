@@ -50,13 +50,15 @@ class KalmanConfig:
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
         if Q.shape != (3, 3):
-            raise InvalidParameterError(f"Q must be 3x3, got {Q.shape}")
+            raise InvalidParameterError(f"Q must be 3x3, got {Q.shape}", "Q")
+        if not np.all(np.isfinite(Q)):
+            raise InvalidParameterError("Q must be finite", "Q")
         if not np.allclose(Q, Q.T, atol=1e-12):
-            raise InvalidParameterError("Q must be symmetric")
+            raise InvalidParameterError("Q must be symmetric", "Q")
         if np.min(np.linalg.eigvalsh(Q)) < -1e-9 * max(1.0, np.linalg.norm(Q)):
-            raise InvalidParameterError("Q must be positive semi-definite")
-        if not self.R > 0:
-            raise InvalidParameterError(f"R must be > 0, got {self.R}")
+            raise InvalidParameterError("Q must be positive semi-definite", "Q")
+        if not 0 < self.R < np.inf:
+            raise InvalidParameterError(f"R must be finite and > 0, got {self.R}", "R")
         Q.setflags(write=False)
         object.__setattr__(self, "Q", Q)
 
@@ -90,7 +92,7 @@ def place_observer_gain(am: AugmentedModel, poles=DEFAULT_OBSERVER_POLES) -> Obs
     poles = np.atleast_1d(np.asarray(poles))
     if poles.shape != (3,):
         raise InvalidParameterError(f"exactly 3 poles required, got {poles.shape}")
-    if np.any(np.abs(poles) >= 1.0):
+    if not np.all(np.abs(poles) < 1.0):  # NaN fails too
         raise UnstablePoleError(f"observer poles must lie inside the unit circle: {poles}")
     coeffs = np.poly(poles)
     if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):

@@ -121,21 +121,11 @@ def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
     """
     limit = cfg.plant_params.torque_limit
     if cfg.controller == "pid":
-        pid_cfg = ctrl.PidConfig(
-            Kp=cfg.pid_kp, Ki=cfg.pid_ki, Kd=cfg.pid_kd, Ts=cfg.Ts,
-            derivative_window=cfg.pid_derivative_window,
-            meas_filter_alpha=cfg.pid_meas_filter_alpha,
-        )
-        pid_state, pid_step = ctrl.PidState.fresh(pid_cfg), ctrl.pid_step
+        pid_cfg, pid_step = cfg.pid, ctrl.pid_step
+        pid_state = ctrl.PidState.fresh(pid_cfg)
         return lambda y, observer, wind_ff: (pid_step(pid_state, y, pid_cfg, limit), QP_NONE)
 
-    Np = cfg.mpc_horizon
-    qc = np.ones(Np)
-    qc[-1] = cfg.mpc_terminal_weight
-    mpc_cfg = ctrl.MpcConfig(
-        Np=Np, Qc_diag=qc, Rc_diag=np.full(Np, cfg.mpc_control_weight),
-        u_min=-limit, u_max=limit, y_min=cfg.mpc_output_min, y_max=cfg.mpc_output_max,
-    )
+    mpc_cfg = cfg.mpc
     stack = ctrl.build_prediction(dm, mpc_cfg)
     closed_form, constrained = ctrl.mpc_unconstrained_step, ctrl.mpc_constrained_step
 

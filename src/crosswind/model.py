@@ -8,6 +8,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,18 +45,14 @@ class RollPlantParams:
     torque_limit: float = 1000.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.inertia_J) and self.inertia_J > 0):
-            raise InvalidParameterError(f"inertia_J must be > 0, got {self.inertia_J}")
-        if not (np.isfinite(self.stiffness_K) and self.stiffness_K >= 0):
-            raise InvalidParameterError(f"stiffness_K must be >= 0, got {self.stiffness_K}")
-        if not (np.isfinite(self.damping_B) and self.damping_B >= 0):
-            raise InvalidParameterError(f"damping_B must be >= 0, got {self.damping_B}")
-        if not (np.isfinite(self.wingspan_d) and self.wingspan_d > 0):
-            raise InvalidParameterError(f"wingspan_d must be > 0, got {self.wingspan_d}")
-        if not (np.isfinite(self.input_delay_Td) and self.input_delay_Td >= 0):
-            raise InvalidParameterError(f"input_delay_Td must be >= 0, got {self.input_delay_Td}")
-        if not (np.isfinite(self.torque_limit) and self.torque_limit > 0):
-            raise InvalidParameterError(f"torque_limit must be > 0, got {self.torque_limit}")
+        for name in ("inertia_J", "wingspan_d", "torque_limit"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be finite and > 0, got {getattr(self, name)}", name)
+        for name in ("stiffness_K", "damping_B", "input_delay_Td"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)}", name)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -153,12 +150,7 @@ def discretize_zoh(cm: ContinuousModel, Ts: float, Td: float) -> DiscreteModel:
     """
     if not Ts > 0:
         raise InvalidParameterError(f"Ts must be > 0, got {Ts}")
-    ratio = Td / Ts
-    kd = round(ratio)
-    if abs(ratio - kd) > 1e-9:
-        raise NonIntegerDelayError(
-            f"input delay {Td} s is not an integer multiple of Ts={Ts} s (ratio {ratio})"
-        )
+    kd = delay_steps(Td, Ts)
     n = cm.A_c.shape[0]
     m = cm.B_c.shape[1]
     Maug = np.zeros((n + m, n + m))
@@ -166,6 +158,16 @@ def discretize_zoh(cm: ContinuousModel, Ts: float, Td: float) -> DiscreteModel:
     Maug[:n, n:] = cm.B_c
     E = expm_small(Maug * Ts)
     return DiscreteModel(A=E[:n, :n], B=E[:n, n:], Ts=Ts, kd=kd)
+
+
+def delay_steps(Td: float, Ts: float) -> int:
+    """Number of Ts steps in the input delay Td, which must be a whole number of them."""
+    ratio = Td / Ts
+    if not (0 <= ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):  # NaN fails too
+        raise NonIntegerDelayError(
+            f"input delay {Td} s is not an integer multiple of Ts={Ts} s (ratio {ratio})",
+            "input_delay_Td")
+    return round(ratio)
 
 
 def augment(dm: DiscreteModel) -> AugmentedModel:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BufferLengthError, InvalidParameterError, PlantDivergenceError
+from .errors import InvalidParameterError, PlantDivergenceError
 from .model import DiscreteModel, RollPlantParams
 
 LB_TO_N = 4.44822  # pounds-force to newtons
@@ -42,17 +42,20 @@ class WindTorqueMap:
     direction: int = 1
 
     def __post_init__(self):
-        if not self.quad_coeff_c > 0:
-            raise InvalidParameterError(f"quad_coeff_c must be > 0, got {self.quad_coeff_c}")
+        if not 0 < self.quad_coeff_c < math.inf:
+            raise InvalidParameterError(
+                f"quad_coeff_c must be finite and > 0, got {self.quad_coeff_c}", "quad_coeff_c")
         if self.direction not in (-1, 1):
-            raise InvalidParameterError(f"direction must be -1 or +1, got {self.direction}")
+            raise InvalidParameterError(
+                f"direction must be -1 or +1, got {self.direction}", "direction")
 
 
 def wind_speed_to_torque(v: float, wind_map: WindTorqueMap) -> float:
-    """Roll torque produced by a crosswind of speed v (m/s)."""
-    if not (math.isfinite(v) and v >= 0):
-        raise InvalidParameterError(f"wind speed must be finite and >= 0, got {v}")
-    return wind_map.direction * wind_map.quad_coeff_c * v * v
+    """Roll torque produced by a crosswind of speed v (m/s); v >= 0, the torque finite."""
+    torque = wind_map.direction * wind_map.quad_coeff_c * v * v
+    if not (v >= 0 and math.isfinite(torque)):
+        raise InvalidParameterError(f"wind speed {v} m/s is not >= 0 with a finite torque")
+    return torque
 
 
 def _value_at(points: tuple, t: float, before: float) -> float:
@@ -85,14 +88,15 @@ class WindProfile:
     def __post_init__(self):
         bp = tuple((float(t), float(v)) for t, v in self.breakpoints)
         if not bp:
-            raise InvalidParameterError("wind profile needs at least one breakpoint")
+            raise InvalidParameterError("wind profile needs at least one breakpoint", "breakpoints")
         if bp[0][0] != 0.0:
-            raise InvalidParameterError("first wind breakpoint must be at t=0")
+            raise InvalidParameterError("first wind breakpoint must be at t=0", "breakpoints")
         for (t0, _), (t1, _) in zip(bp, bp[1:]):
-            if not t1 > t0:
-                raise InvalidParameterError("wind breakpoint times must be strictly increasing")
-        if not all(math.isfinite(v) and v >= 0 for _, v in bp):
-            raise InvalidParameterError("wind speeds must be finite and >= 0")
+            if not t0 < t1 < math.inf:
+                raise InvalidParameterError(
+                    "wind breakpoint times must be finite and strictly increasing", "breakpoints")
+        if not all(0 <= v < math.inf for _, v in bp):
+            raise InvalidParameterError("wind speeds must be finite and >= 0", "breakpoints")
         object.__setattr__(self, "breakpoints", bp)
 
     def speed_at(self, t: float) -> float:
@@ -104,10 +108,11 @@ class WindProfile:
 
 
 def weight_to_torque(mass_lb: float, rp: RollPlantParams) -> float:
-    """Torque magnitude of a wingtip weight: mass * g-equivalent * d/2."""
-    if not (math.isfinite(mass_lb) and mass_lb >= 0):
-        raise InvalidParameterError(f"mass must be finite and >= 0, got {mass_lb}")
-    return mass_lb * LB_TO_N * rp.wingspan_d / 2.0
+    """Torque magnitude of a wingtip weight: mass * g-equivalent * d/2, which must be finite."""
+    torque = mass_lb * LB_TO_N * rp.wingspan_d / 2.0
+    if not (mass_lb >= 0 and math.isfinite(torque)):
+        raise InvalidParameterError(f"mass {mass_lb} lb is not >= 0 with a finite torque")
+    return torque
 
 
 @dataclass(frozen=True)
@@ -123,13 +128,15 @@ class WeightDisturbance:
 
     def __post_init__(self):
         sched = tuple((float(t), float(m)) for t, m in self.schedule)
-        for (t0, _), (t1, _) in zip(sched, sched[1:]):
-            if t1 < t0:
-                raise InvalidParameterError("weight schedule times must be non-decreasing")
-        if not all(math.isfinite(m) and m >= 0 for _, m in sched):
-            raise InvalidParameterError("weight masses must be finite and >= 0")
+        times = [t for t, _ in sched]
+        if not all(math.isfinite(t) for t in times) or times != sorted(times):
+            raise InvalidParameterError(
+                "weight schedule times must be finite and non-decreasing", "schedule")
+        if not all(0 <= m < math.inf for _, m in sched):
+            raise InvalidParameterError("weight masses must be finite and >= 0", "schedule")
         if self.side not in ("left", "right"):
-            raise InvalidParameterError(f"side must be 'left' or 'right', got {self.side!r}")
+            raise InvalidParameterError(
+                f"side must be 'left' or 'right', got {self.side!r}", "side")
         object.__setattr__(self, "schedule", sched)
 
     def mass_at(self, t: float) -> float:
@@ -184,12 +191,6 @@ class InputBuffer:
     def __len__(self) -> int:
         return self.kd
 
-    def oldest(self) -> float:
-        """The command about to take effect, tau_m(k - kd)."""
-        if self.kd == 0:
-            raise BufferLengthError("buffer with kd=0 holds no delayed commands")
-        return self._q[0]
-
     def push(self, cmd: float) -> float:
         """Append cmd; return the torque applied at this step."""
         cmd = float(cmd)
@@ -225,32 +226,10 @@ class MotorParams:
     inductance_Lm: float = 1e-3
 
     def __post_init__(self):
-        positive = {
-            "thrust_coeff_Ktilde": self.thrust_coeff_Ktilde,
-            "rotor_inertia_Jm": self.rotor_inertia_Jm,
-            "torque_const_Km": self.torque_const_Km,
-            "friction_bm": self.friction_bm,
-            "friction_btilde": self.friction_btilde,
-            "resistance_Rm": self.resistance_Rm,
-            "inductance_Lm": self.inductance_Lm,
-        }
-        for name, v in positive.items():
-            if not (np.isfinite(v) and v > 0):
-                raise InvalidParameterError(f"{name} must be > 0, got {v}")
-
-
-def motor_thrust(omega: float, mp: MotorParams) -> float:
-    """Propeller thrust at rotor speed omega: K~ * omega^2."""
-    if omega < 0:
-        raise InvalidParameterError(f"motor speed must be >= 0, got {omega}")
-    return mp.thrust_coeff_Ktilde * omega * omega
-
-
-def motor_pair_torque(F1: float, F2: float, d: float) -> float:
-    """Net roll torque of the thrust pair: (F2 - F1) * d/2."""
-    if not d > 0:
-        raise InvalidParameterError(f"wingspan must be > 0, got {d}")
-    return (F2 - F1) * d / 2.0
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not 0 < v < math.inf:
+                raise InvalidParameterError(f"{f.name} must be finite and > 0, got {v}", f.name)
 
 
 def torque_to_voltages(tau_cmd: float, mp: MotorParams, rp: RollPlantParams) -> tuple:
@@ -342,10 +321,10 @@ def step_full_plant(s: FullPlantState, mp: MotorParams, rp: RollPlantParams,
 def substep_count(Ts: float, inner_dt: float) -> int:
     """Number of RK4 substeps in one control interval; inner_dt must divide Ts."""
     if not 0 < inner_dt <= 1e-3 + 1e-12:
-        raise InvalidParameterError(f"inner_dt must be in (0, 1 ms], got {inner_dt}")
+        raise InvalidParameterError(f"inner_dt must be in (0, 1 ms], got {inner_dt}", "inner_dt")
     ratio = Ts / inner_dt
     if not 0.5 < ratio < math.inf or abs(ratio - round(ratio)) > 1e-9:
-        raise InvalidParameterError(f"inner_dt {inner_dt} s must divide Ts {Ts} s")
+        raise InvalidParameterError(f"inner_dt {inner_dt} s must divide Ts {Ts} s", "inner_dt")
     return round(ratio)
 
 

@@ -16,78 +16,83 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import InvalidParameterError, ScenarioError
+from .controllers import MpcConfig, PidConfig
+from .errors import ScenarioError
 from .estimator import KalmanConfig
-from .model import RollPlantParams
-from .plant import (MotorParams, WeightDisturbance, WindProfile, WindTorqueMap,
-                    substep_count, wind_speed_to_torque)
+from .model import RollPlantParams, delay_steps
+from .plant import (MotorParams, WeightDisturbance, WindProfile, WindTorqueMap, substep_count,
+                    weight_to_torque, wind_speed_to_torque)
 
 PLANT_KINDS = ("simplified", "full")
 CONTROLLERS = ("pid", "mpc_constrained", "mpc_unconstrained")
 ESTIMATORS = ("none", "pole_place", "kalman")
 
-# section -> key -> (converter-name, default-as-string or None)
+# section -> key -> (converter-name, default-as-string or None, the field it sets);
+# field names are unique across sections, so a field's error names its key
 SCENARIO_SCHEMA = {
     "scenario": {
-        "plant": ("choice:simplified|full", "simplified"),
-        "controller": ("choice:pid|mpc_constrained|mpc_unconstrained", "pid"),
-        "estimator": ("choice:none|pole_place|kalman", "none"),
-        "feedforward": ("bool", "false"),
-        "duration": ("float", "60.0"),
-        "ts": ("float", "0.1"),
-        "noise_std": ("float", "0.002"),
-        "rng_seed": ("int", "0"),
-        "initial_theta": ("float", "0.0"),
-        "initial_theta_dot": ("float", "0.0"),
+        "plant": ("choice:simplified|full", "simplified", "plant_kind"),
+        "controller": ("choice:pid|mpc_constrained|mpc_unconstrained", "pid", "controller"),
+        "estimator": ("choice:none|pole_place|kalman", "none", "estimator_kind"),
+        "feedforward": ("bool", "false", "feedforward"),
+        "duration": ("float", "60.0", "duration"),
+        "ts": ("float", "0.1", "Ts"),
+        "noise_std": ("float", "0.002", "noise_std"),
+        "rng_seed": ("int", "0", "rng_seed"),
+        "initial_theta": ("float", "0.0", "initial_theta"),
+        "initial_theta_dot": ("float", "0.0", "initial_theta_dot"),
     },
     "plant_params": {
-        "inertia": ("float", "6374.5"),
-        "stiffness": ("float", "25489.0"),
-        "damping": ("float", "3000.0"),
-        "wingspan": ("float", "11.0"),
-        "input_delay": ("float", "1.0"),
-        "torque_limit": ("float", "1000.0"),
+        "inertia": ("float", "6374.5", "inertia_J"),
+        "stiffness": ("float", "25489.0", "stiffness_K"),
+        "damping": ("float", "3000.0", "damping_B"),
+        "wingspan": ("float", "11.0", "wingspan_d"),
+        "input_delay": ("float", "1.0", "input_delay_Td"),
+        "torque_limit": ("float", "1000.0", "torque_limit"),
     },
     "wind": {
-        "quad_coeff": ("float", "74.3"),
-        "direction": ("int", "1"),
-        "profile": ("pairs", None),  # presence of 'profile' activates wind
+        "quad_coeff": ("float", "74.3", "quad_coeff_c"),
+        "direction": ("int", "1", "direction"),
+        "profile": ("pairs", None, "breakpoints"),  # presence of 'profile' activates wind
     },
     "weights": {
-        "side": ("choice:left|right", "left"),
-        "schedule": ("pairs", None),  # presence of 'schedule' activates weights
+        "side": ("choice:left|right", "left", "side"),
+        "schedule": ("pairs", None, "schedule"),  # presence of 'schedule' activates weights
     },
     "estimator_params": {
-        "poles": ("floats", "0.65, 0.7, 0.75"),
-        "q_diag": ("floats", "0.0001, 0.15, 3e8"),
-        "r": ("float", "0.01"),
-        "torque_filter_alpha": ("float", "0.2"),
+        "poles": ("floats", "0.65, 0.7, 0.75", "observer_poles"),
+        "q_diag": ("floats", "0.0001, 0.15, 3e8", "Q"),
+        "r": ("float", "0.01", "R"),
+        "torque_filter_alpha": ("float", "0.2", "torque_filter_alpha"),
     },
     "pid": {
-        "kp": ("float", "3200.0"),
-        "ki": ("float", "1200.0"),
-        "kd": ("float", "700.0"),
-        "derivative_window": ("int", "3"),
-        "meas_filter_alpha": ("float", "0.5"),
+        "kp": ("float", "3200.0", "Kp"),
+        "ki": ("float", "1200.0", "Ki"),
+        "kd": ("float", "700.0", "Kd"),
+        "derivative_window": ("int", "3", "derivative_window"),
+        "meas_filter_alpha": ("float", "0.5", "meas_filter_alpha"),
     },
     "mpc": {
-        "horizon": ("int", "30"),
-        "terminal_weight": ("float", "50.0"),
-        "control_weight": ("float", "1e-9"),
-        "output_min": ("float_or_none", "none"),
-        "output_max": ("float_or_none", "none"),
+        "horizon": ("int", "30", "Np"),
+        "terminal_weight": ("float", "50.0", "Qc_diag"),
+        "control_weight": ("float", "1e-9", "Rc_diag"),
+        "output_min": ("float_or_none", "none", "y_min"),
+        "output_max": ("float_or_none", "none", "y_max"),
     },
     "motor": {
-        "thrust_coeff": ("float", "0.01"),
-        "rotor_inertia": ("float", "0.05"),
-        "torque_const": ("float", "0.5"),
-        "friction": ("float", "0.01"),
-        "friction_quad": ("float", "1e-5"),
-        "resistance": ("float", "0.2"),
-        "inductance": ("float", "0.001"),
-        "inner_dt": ("float", "0.001"),
+        "thrust_coeff": ("float", "0.01", "thrust_coeff_Ktilde"),
+        "rotor_inertia": ("float", "0.05", "rotor_inertia_Jm"),
+        "torque_const": ("float", "0.5", "torque_const_Km"),
+        "friction": ("float", "0.01", "friction_bm"),
+        "friction_quad": ("float", "1e-5", "friction_btilde"),
+        "resistance": ("float", "0.2", "resistance_Rm"),
+        "inductance": ("float", "0.001", "inductance_Lm"),
+        "inner_dt": ("float", "0.001", "inner_dt"),
     },
 }
+
+_KEY_OF_FIELD = {field: f"{section}.{key}" for section, keys in SCENARIO_SCHEMA.items()
+                 for key, (_, _, field) in keys.items()}
 
 
 @dataclass(frozen=True)
@@ -111,16 +116,8 @@ class ScenarioConfig:
     observer_poles: tuple
     kalman: KalmanConfig
     torque_filter_alpha: float
-    pid_kp: float
-    pid_ki: float
-    pid_kd: float
-    pid_derivative_window: int
-    pid_meas_filter_alpha: float
-    mpc_horizon: int
-    mpc_terminal_weight: float
-    mpc_control_weight: float
-    mpc_output_min: float | None
-    mpc_output_max: float | None
+    pid: PidConfig
+    mpc: MpcConfig
     motor: MotorParams
     inner_dt: float
 
@@ -180,11 +177,15 @@ def _convert(kind: str, raw: str, where: str):
 
 
 def _build(where: str, make, **kwargs):
-    """``make(**kwargs)``, with a ValueError reported as a ScenarioError naming ``where``."""
+    """``make(**kwargs)``, with a ValueError reported as a ScenarioError.
+
+    The error names the ``section.key`` of the field it rejects, else ``where``.
+    """
     try:
         return make(**kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+        key = _KEY_OF_FIELD.get(getattr(exc, "field", None), where)
+        raise ScenarioError(f"{key}: {exc}") from None
 
 
 def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
@@ -221,24 +222,20 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
             parser[section][key] = str(value)
 
     def get(section: str, key: str):
-        kind, default = SCENARIO_SCHEMA[section][key]
+        kind, default, _ = SCENARIO_SCHEMA[section][key]
         if parser.has_option(section, key):
             return _convert(kind, parser.get(section, key), f"{section}.{key}")
         if default is None:
             return None
         return _convert(kind, default, f"{section}.{key} (default)")
 
-    try:
-        plant_params = RollPlantParams(
-            inertia_J=get("plant_params", "inertia"),
-            stiffness_K=get("plant_params", "stiffness"),
-            damping_B=get("plant_params", "damping"),
-            wingspan_d=get("plant_params", "wingspan"),
-            input_delay_Td=get("plant_params", "input_delay"),
-            torque_limit=get("plant_params", "torque_limit"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"plant_params: {exc}") from None
+    def read(section: str) -> dict:
+        """The section's values by the field each one sets."""
+        return {field: get(section, key)
+                for key, (_, _, field) in SCENARIO_SCHEMA[section].items()}
+
+    scalars = read("scenario")
+    plant_params = _build("plant_params", RollPlantParams, **read("plant_params"))
 
     wind_profile = wind_map = weights = None
     profile_pairs = get("wind", "profile")
@@ -247,123 +244,73 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
         wind_profile = _build("wind.profile", WindProfile, breakpoints=profile_pairs)
         wind_map = _build("wind", WindTorqueMap, quad_coeff_c=get("wind", "quad_coeff"),
                           direction=get("wind", "direction"))
+        for _, speed in wind_profile.breakpoints:
+            _build("wind.profile", wind_speed_to_torque, v=speed, wind_map=wind_map)
     if schedule_pairs is not None:
         weights = _build("weights.schedule", WeightDisturbance,
                          schedule=schedule_pairs, side=get("weights", "side"))
+        for _, mass in weights.schedule:
+            _build("weights.schedule", weight_to_torque, mass_lb=mass, rp=plant_params)
     if wind_profile is not None and weights is not None:
         raise ScenarioError("a scenario may define wind or weights, not both")
 
-    q_diag = get("estimator_params", "q_diag")
-    if len(q_diag) != 3:
-        raise ScenarioError("estimator_params.q_diag needs exactly 3 entries")
-    if not all(map(math.isfinite, q_diag)):
-        raise ScenarioError("estimator_params.q_diag must be finite")
-    r = get("estimator_params", "r")
-    if not math.isfinite(r):
-        raise ScenarioError("estimator_params.r must be finite")
-    poles = get("estimator_params", "poles")
-    if len(poles) != 3:
-        raise ScenarioError("estimator_params.poles needs exactly 3 entries")
-    try:
-        kalman = KalmanConfig(Q=np.diag(q_diag), R=r)
-        motor = MotorParams(
-            thrust_coeff_Ktilde=get("motor", "thrust_coeff"),
-            rotor_inertia_Jm=get("motor", "rotor_inertia"),
-            torque_const_Km=get("motor", "torque_const"),
-            friction_bm=get("motor", "friction"),
-            friction_btilde=get("motor", "friction_quad"),
-            resistance_Rm=get("motor", "resistance"),
-            inductance_Lm=get("motor", "inductance"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    kalman = _build("estimator_params", KalmanConfig,
+                    Q=np.diag(get("estimator_params", "q_diag")), R=get("estimator_params", "r"))
+    pid = _build("pid", PidConfig, Ts=scalars["Ts"], **read("pid"))
+    horizon, limit = get("mpc", "horizon"), plant_params.torque_limit
+    n = max(horizon, 1)  # MpcConfig rejects a horizon below 1 by its key
+    mpc = _build("mpc", MpcConfig, Np=horizon,
+                 Qc_diag=np.append(np.ones(n - 1), get("mpc", "terminal_weight")),
+                 Rc_diag=np.full(n, get("mpc", "control_weight")), u_min=-limit, u_max=limit,
+                 y_min=get("mpc", "output_min"), y_max=get("mpc", "output_max"))
+    motor = read("motor")
+    inner_dt = motor.pop("inner_dt")
 
     cfg = ScenarioConfig(
-        plant_kind=get("scenario", "plant"),
-        controller=get("scenario", "controller"),
-        estimator_kind=get("scenario", "estimator"),
-        feedforward=get("scenario", "feedforward"),
-        duration=get("scenario", "duration"),
-        Ts=get("scenario", "ts"),
-        noise_std=get("scenario", "noise_std"),
-        rng_seed=get("scenario", "rng_seed"),
-        initial_theta=get("scenario", "initial_theta"),
-        initial_theta_dot=get("scenario", "initial_theta_dot"),
+        **scalars,
         plant_params=plant_params,
         wind_profile=wind_profile,
         wind_map=wind_map,
         weights=weights,
-        observer_poles=poles,
+        observer_poles=get("estimator_params", "poles"),
         kalman=kalman,
         torque_filter_alpha=get("estimator_params", "torque_filter_alpha"),
-        pid_kp=get("pid", "kp"),
-        pid_ki=get("pid", "ki"),
-        pid_kd=get("pid", "kd"),
-        pid_derivative_window=get("pid", "derivative_window"),
-        pid_meas_filter_alpha=get("pid", "meas_filter_alpha"),
-        mpc_horizon=get("mpc", "horizon"),
-        mpc_terminal_weight=get("mpc", "terminal_weight"),
-        mpc_control_weight=get("mpc", "control_weight"),
-        mpc_output_min=get("mpc", "output_min"),
-        mpc_output_max=get("mpc", "output_max"),
-        motor=motor,
-        inner_dt=get("motor", "inner_dt"),
+        pid=pid,
+        mpc=mpc,
+        motor=_build("motor", MotorParams, **motor),
+        inner_dt=inner_dt,
     )
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ScenarioConfig) -> None:
+    """The rules that relate keys to each other, and those of the scenario scalars.
+
+    Every other value is checked by the dataclass it builds, as it is built.
+    """
+    _build("plant_params", delay_steps, Td=cfg.plant_params.input_delay_Td, Ts=cfg.Ts)
+    if cfg.plant_kind == "full":
+        _build("motor", substep_count, Ts=cfg.Ts, inner_dt=cfg.inner_dt)
     problems = []
-    ts_ok = math.isfinite(cfg.Ts) and cfg.Ts > 0
-    if not ts_ok:
-        problems.append("scenario.ts must be finite and > 0")
-    if not (math.isfinite(cfg.duration) and cfg.duration > 0):
-        problems.append("scenario.duration must be finite and > 0")
-    elif ts_ok and not 0.5 < cfg.duration / cfg.Ts < math.inf:  # round() of it is n_steps
+    if not 0.5 < cfg.duration / cfg.Ts < math.inf:  # round() of it is n_steps; NaN fails too
         problems.append("scenario.duration must span 1 to finitely many scenario.ts steps")
-    if not (math.isfinite(cfg.noise_std) and cfg.noise_std >= 0):
+    if not 0 <= cfg.noise_std < math.inf:
         problems.append("scenario.noise_std must be finite and >= 0")
     for key in ("initial_theta", "initial_theta_dot"):
         if not math.isfinite(getattr(cfg, key)):
             problems.append(f"scenario.{key} must be finite")
     if cfg.rng_seed < 0:
         problems.append("scenario.rng_seed must be >= 0")
-    for key in ("kp", "ki", "kd"):
-        if not math.isfinite(getattr(cfg, f"pid_{key}")):
-            problems.append(f"pid.{key} must be finite")
-    if cfg.pid_derivative_window < 1:
-        problems.append("pid.derivative_window must be >= 1")
-    if not 0 < cfg.pid_meas_filter_alpha <= 1:
-        problems.append("pid.meas_filter_alpha must be in (0, 1]")
-    if cfg.mpc_horizon < 1:
-        problems.append("mpc.horizon must be >= 1")
-    if ts_ok:
-        ratio = cfg.plant_params.input_delay_Td / cfg.Ts
-        if abs(ratio - round(ratio)) > 1e-9:
-            problems.append("plant_params.input_delay must be an integer multiple of scenario.ts")
     if cfg.feedforward and cfg.estimator_kind == "none":
         problems.append("scenario.feedforward requires an estimator")
     if cfg.controller in ("mpc_constrained", "mpc_unconstrained") and cfg.estimator_kind == "none":
         problems.append("MPC controllers require an estimator (the roll rate is not measured)")
-    if (cfg.mpc_output_min is None) != (cfg.mpc_output_max is None):
-        problems.append("mpc.output_min and mpc.output_max must be set together")
-    elif cfg.mpc_output_min is not None and not cfg.mpc_output_min < cfg.mpc_output_max:
-        problems.append("mpc.output_min must be < mpc.output_max")
-    if not all(abs(pole) < 1.0 for pole in cfg.observer_poles):  # NaN fails too
-        problems.append("estimator_params.poles must lie inside the unit circle")
+    poles = cfg.observer_poles
+    if not (len(poles) == 3 and all(abs(pole) < 1.0 for pole in poles)):  # NaN fails too
+        problems.append("estimator_params.poles must be 3 poles inside the unit circle")
     if not 0 < cfg.torque_filter_alpha <= 1:
         problems.append("estimator_params.torque_filter_alpha must be in (0, 1]")
-    if not (math.isfinite(cfg.mpc_terminal_weight)
-            and cfg.mpc_terminal_weight >= (1 if cfg.mpc_horizon > 1 else 0)):
-        problems.append("mpc.terminal_weight must be finite and >= the other output weights (1)")
-    if not (math.isfinite(cfg.mpc_control_weight) and cfg.mpc_control_weight > 0):
-        problems.append("mpc.control_weight must be finite and > 0")
-    if cfg.plant_kind == "full" and ts_ok:
-        try:
-            substep_count(cfg.Ts, cfg.inner_dt)
-        except InvalidParameterError as exc:
-            problems.append(f"motor.{exc}")
     if problems:
         raise ScenarioError("invalid scenario: " + "; ".join(problems))
 

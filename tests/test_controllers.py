@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,8 @@ class TestPid:
     def test_config_validation(self):
         with pytest.raises(InvalidParameterError):
             PidConfig(Ts=0.0)
+        with pytest.raises(InvalidParameterError, match="Ts"):
+            PidConfig(Ts=float("inf"))
         with pytest.raises(InvalidParameterError):
             PidConfig(derivative_window=0)
         with pytest.raises(InvalidParameterError):
@@ -179,9 +183,13 @@ class TestBuildPrediction:
 
     @pytest.mark.parametrize("terminal,rc", [(float("nan"), 1e-9), (50.0, float("inf"))])
     def test_nan_inverse_residual_fails(self, nominal_dm, terminal, rc):
+        # MpcConfig rejects these weights, so a stand-in with the fields
+        # build_prediction reads carries them to its own check
+        qc = np.append(np.ones(29), terminal)
+        cfg = SimpleNamespace(Np=30, Qc_diag=qc, Rc_diag=np.full(30, rc), y_min=None)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(InvalidParameterError, match="H inverse verification"):
-            build_prediction(nominal_dm, make_mpc_cfg(terminal=terminal, rc=rc))
+            build_prediction(nominal_dm, cfg)
 
     def test_predictor_matches_simulation(self, nominal_dm, nominal_params, rng):
         """Y = Phi x_shifted + G U against stepwise simulation, Np = 3."""
@@ -207,6 +215,11 @@ class TestBuildPrediction:
         with pytest.raises(InvalidParameterError):
             MpcConfig(Np=2, Qc_diag=np.ones(2), Rc_diag=np.full(2, 1e-8),
                       u_min=5.0, u_max=-5.0)
+        nan, inf = float("nan"), float("inf")
+        for terminal, rc, field in ((nan, 1e-9, "Qc_diag"), (inf, 1e-9, "Qc_diag"),
+                                    (50.0, inf, "Rc_diag"), (50.0, nan, "Rc_diag")):
+            with pytest.raises(InvalidParameterError, match=field):
+                make_mpc_cfg(terminal=terminal, rc=rc)
 
 
 class TestMpcSteps:

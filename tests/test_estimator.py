@@ -69,6 +69,8 @@ class TestPolePlacement:
     def test_unstable_poles_rejected(self, nominal_am):
         with pytest.raises(UnstablePoleError):
             place_observer_gain(nominal_am, (0.65, 0.7, 1.0))
+        with pytest.raises(UnstablePoleError):  # gave an all-NaN gain
+            place_observer_gain(nominal_am, (float("nan"), 0.7, 0.75))
 
     def test_unpaired_complex_poles_rejected(self, nominal_am):
         with pytest.raises(InvalidParameterError):
@@ -121,6 +123,10 @@ class TestFilterAre:
             KalmanConfig(Q=np.diag([1.0, 1.0, -1.0]))
         with pytest.raises(InvalidParameterError):
             KalmanConfig(Q=np.ones((2, 2)))
+        with pytest.raises(InvalidParameterError, match="R must be finite"):
+            KalmanConfig(R=float("inf"))
+        with pytest.raises(InvalidParameterError, match="Q must be finite"):
+            KalmanConfig(Q=np.diag([1.0, float("inf"), 1.0]))
 
 
 class TestKalmanGain:

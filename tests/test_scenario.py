@@ -7,6 +7,7 @@ from crosswind.cli import main as cli_main
 from crosswind.errors import ScenarioError
 from crosswind.harness import compute_metrics, run_scenario
 from crosswind.scenario import (
+    SCENARIO_SCHEMA,
     bundled_scenario_names,
     load_bundled_scenario,
     parse_scenario,
@@ -31,11 +32,11 @@ class TestDefaults:
         assert cfg.plant_params.stiffness_K == 25489.0
         assert cfg.plant_params.damping_B == 3000.0
         assert cfg.plant_params.input_delay_Td == 1.0
-        assert cfg.pid_kp == 3200.0 and cfg.pid_ki == 1200.0 and cfg.pid_kd == 700.0
+        assert cfg.pid.Kp == 3200.0 and cfg.pid.Ki == 1200.0 and cfg.pid.Kd == 700.0
         assert cfg.observer_poles == (0.65, 0.7, 0.75)
         assert np.allclose(np.diag(cfg.kalman.Q), [0.0001, 0.15, 3e8])
         assert cfg.kalman.R == 0.01
-        assert cfg.mpc_horizon == 30
+        assert cfg.mpc.Np == 30
         assert cfg.wind_profile is None and cfg.weights is None
 
     def test_pid_baseline_is_default_controller(self):
@@ -81,6 +82,11 @@ schedule = 10:15, 35:0
         assert cfg.event_times() == [10.0]
         metrics = compute_metrics(run_scenario(cfg), 0.02, cfg.event_times())
         assert len(metrics.per_event) == 1 and metrics.settled
+
+    def test_every_field_names_one_key(self):
+        # a field's error is reported under the one key that sets it
+        fields = [field for keys in SCENARIO_SCHEMA.values() for _, _, field in keys.values()]
+        assert len(fields) == len(set(fields))
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match="unknown section"):
@@ -160,6 +166,15 @@ schedule = 5:10
         ("estimator_params.poles", "nan 0.7 0.75"),  # was reported as plant divergence
         ("estimator_params.r", "nan"),  # the error did not name the key
         ("estimator_params.q_diag", "nan 0.15 3e8"),  # was "Q must be symmetric"
+        ("estimator_params.r", "-1"),  # each of these reached the CLI without its key
+        ("plant_params.inertia", "nan"),
+        ("plant_params.torque_limit", "inf"),
+        ("motor.resistance", "0"),
+        ("plant_params.input_delay", "1e308"),  # an OverflowError traceback
+        ("weights.schedule", "2:1e308"),  # a finite mass, an infinite torque: was exit 2
+        ("weights.schedule", "nan:15"),  # a NaN or infinite time failed in event_times
+        ("weights.schedule", "inf:15"),
+        ("wind.profile", "0:1e155"),  # checked before wind and weights exclude each other
     ])
     def test_bad_value_is_rejected_naming_its_key(self, key, value, capsys):
         with pytest.raises(ScenarioError, match=re.escape(key)):
@@ -182,7 +197,7 @@ output_max = 0.05
 class TestOverrides:
     def test_override_applied(self):
         cfg = parse_scenario(BASELINE, overrides={"pid.kp": "10.0"})
-        assert cfg.pid_kp == 10.0
+        assert cfg.pid.Kp == 10.0
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ScenarioError, match="unknown override"):
