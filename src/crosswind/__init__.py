@@ -66,8 +66,7 @@ from .plant import (
     MotorParams,
     RollState,
     SimplifiedPlantSimulator,
-    WeightDisturbance,
-    WindProfile,
+    TorqueSchedule,
     WindTorqueMap,
     measure_roll,
     step_full_plant,

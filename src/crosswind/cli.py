@@ -2,7 +2,7 @@
 
 Scenario arguments are file paths, or names of bundled scenarios when no
 such file exists (see ``crosswind run --list``). Exit codes: 0 success,
-1 parse/validation failure, 2 runtime divergence.
+1 parse/validation failure or another library error, 2 runtime divergence.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .errors import PlantDivergenceError, ScenarioError
+from .errors import CrosswindError, PlantDivergenceError, ScenarioError
 from .harness import compute_metrics, response_reduction, run_scenario, write_trace
 from .scenario import (
     ScenarioConfig,
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     except PlantDivergenceError as exc:
         print(f"runtime divergence: {exc} (step {exc.step})", file=sys.stderr)
         return 2
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (CrosswindError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -235,7 +235,7 @@ def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStac
 
 def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
                          cfg: MpcConfig, wind_estimate: float = 0.0,
-                         qp_tol: float = 1e-8, qp_max_iters: int = 5000) -> float:
+                         qp_max_iters: int = 5000) -> float:
     """Receding-horizon step solving the box(+output)-constrained QP.
 
     The QP is solved on ``stack.qp``, the workspace ``build_prediction``
@@ -260,8 +260,7 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
     if cfg.y_min is not None:
         row_lower = cfg.y_min - F
         row_upper = cfg.y_max - F
-    sol = stack.qp.solve(f, lower, upper, row_lower, row_upper,
-                         tol=qp_tol, max_iters=qp_max_iters)
+    sol = stack.qp.solve(f, lower, upper, row_lower, row_upper, max_iters=qp_max_iters)
     if sol.status != "optimal":
         raise QpInfeasibleError(f"MPC quadratic program ended with status {sol.status!r}",
                                 status=sol.status)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import controllers as ctrl
 from . import estimator as est
-from .errors import PlantDivergenceError, QpInfeasibleError
+from .errors import CrosswindError, PlantDivergenceError, QpInfeasibleError, ScenarioError
 from .model import augment, continuous_roll_model, discretize_zoh
 from .plant import (
     FullPlantSimulator,
@@ -61,7 +61,8 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     The observer, the controller and the plant are chosen once, before
     the loop. QP infeasibility falls back to the saturated closed-form
     law and flags the record; plant divergence raises
-    PlantDivergenceError carrying the partial trace.
+    PlantDivergenceError carrying the partial trace. An observer or MPC
+    design that fails is a ScenarioError naming its section.
     """
     rp = cfg.plant_params
     limit = rp.torque_limit
@@ -72,11 +73,12 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     plant = _plant(cfg, dm)
     rng = np.random.default_rng(cfg.rng_seed)
     half_span = rp.wingspan_d / 2.0
+    torque_at = cfg.disturbance.at
     trace: list = []
 
     for k in range(round(cfg.duration / cfg.Ts)):
         t = k * cfg.Ts
-        tau_w = cfg.wind_torque_at(t)
+        tau_w = torque_at(t)
         y = measure_roll(plant.state, cfg.noise_std, rng)
         wind_ff = observer.filtered_tau_w if cfg.feedforward else 0.0
         fb, qp_status = control(y, observer, wind_ff)
@@ -105,10 +107,13 @@ def _observer(cfg: ScenarioConfig, am):
     if cfg.estimator_kind == "none":
         nan = float("nan")
         return est.ObserverState(np.array([0.0, 0.0, nan]), nan), lambda obs, y, u: obs
-    if cfg.estimator_kind == "pole_place":
-        gain = est.place_observer_gain(am, cfg.observer_poles)
-    else:
-        gain = est.kalman_gain(am, est.solve_filter_are(am, cfg.kalman), cfg.kalman.R)
+    try:
+        if cfg.estimator_kind == "pole_place":
+            gain = est.place_observer_gain(am, cfg.observer_poles)
+        else:
+            gain = est.kalman_gain(am, est.solve_filter_are(am, cfg.kalman), cfg.kalman.R)
+    except CrosswindError as exc:
+        raise ScenarioError(f"estimator_params: observer design failed: {exc}") from None
     step, alpha = est.observer_step, cfg.torque_filter_alpha
     return est.ObserverState(), lambda obs, y, u: step(obs, y, u, gain, am, filter_alpha=alpha)
 
@@ -126,7 +131,10 @@ def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
         return lambda y, observer, wind_ff: (pid_step(pid_state, y, pid_cfg, limit), QP_NONE)
 
     mpc_cfg = cfg.mpc
-    stack = ctrl.build_prediction(dm, mpc_cfg)
+    try:
+        stack = ctrl.build_prediction(dm, mpc_cfg)
+    except CrosswindError as exc:
+        raise ScenarioError(f"mpc: prediction design failed: {exc}") from None
     closed_form, constrained = ctrl.mpc_unconstrained_step, ctrl.mpc_constrained_step
 
     def unconstrained(y, observer, wind_ff, status=QP_NONE):

@@ -22,6 +22,11 @@ RANK_RTOL = 1e-8
 # Relative truncation tolerance of the scaling-and-squaring exponential.
 _EXPM_TOL = 1e-12
 
+# Most control steps a run or an input delay may span. A run is a Python
+# loop of tens of microseconds a step or more, and the delay a deque of kd
+# commands: more steps than this take hours or do not fit in memory.
+MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class RollPlantParams:
@@ -161,12 +166,11 @@ def discretize_zoh(cm: ContinuousModel, Ts: float, Td: float) -> DiscreteModel:
 
 
 def delay_steps(Td: float, Ts: float) -> int:
-    """Number of Ts steps in the input delay Td, which must be a whole number of them."""
+    """Number of Ts steps in the input delay Td: a whole number, at most MAX_STEPS."""
     ratio = Td / Ts
-    if not (0 <= ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):  # NaN fails too
-        raise NonIntegerDelayError(
-            f"input delay {Td} s is not an integer multiple of Ts={Ts} s (ratio {ratio})",
-            "input_delay_Td")
+    if not (0 <= ratio < MAX_STEPS + 0.5 and abs(ratio - round(ratio)) <= 1e-9):  # NaN fails
+        raise NonIntegerDelayError(f"input delay {Td} s is not an integer multiple of Ts={Ts} s, "
+                                   f"at most {MAX_STEPS} of them (ratio {ratio})", "input_delay_Td")
     return round(ratio)
 
 

@@ -3,8 +3,8 @@
 Two plants are provided: the full sixth-order nonlinear model (roll
 dynamics plus two DC motors behind the input delay) integrated with
 fixed-step RK4, and the simplified saturated linear plant that steps the
-exact discrete map. Wind profiles, wingtip-weight schedules, and the
-measurement-noise model live here too.
+exact discrete map. The disturbance torque schedule, built from a wind
+profile or wingtip weights, and the measurement-noise model live here too.
 """
 
 from __future__ import annotations
@@ -58,55 +58,6 @@ def wind_speed_to_torque(v: float, wind_map: WindTorqueMap) -> float:
     return torque
 
 
-def _value_at(points: tuple, t: float, before: float) -> float:
-    """Value at t of a piecewise-constant (time, value) schedule; ``before`` ahead of it."""
-    value = before
-    for tb, vb in points:
-        if t >= tb:
-            value = vb
-        else:
-            break
-    return value
-
-
-def _change_times(points: tuple) -> list:
-    """Times at which a schedule's value changes, counting from zero at t=0."""
-    changes, prev = [], 0.0
-    for tb, vb in points:
-        if vb != prev:
-            changes.append(tb)
-        prev = vb
-    return changes
-
-
-@dataclass(frozen=True)
-class WindProfile:
-    """Piecewise-constant wind speed, as (start_time, speed) breakpoints."""
-
-    breakpoints: tuple  # ((t0, v0), (t1, v1), ...), t strictly increasing, t0 == 0
-
-    def __post_init__(self):
-        bp = tuple((float(t), float(v)) for t, v in self.breakpoints)
-        if not bp:
-            raise InvalidParameterError("wind profile needs at least one breakpoint", "breakpoints")
-        if bp[0][0] != 0.0:
-            raise InvalidParameterError("first wind breakpoint must be at t=0", "breakpoints")
-        for (t0, _), (t1, _) in zip(bp, bp[1:]):
-            if not t0 < t1 < math.inf:
-                raise InvalidParameterError(
-                    "wind breakpoint times must be finite and strictly increasing", "breakpoints")
-        if not all(0 <= v < math.inf for _, v in bp):
-            raise InvalidParameterError("wind speeds must be finite and >= 0", "breakpoints")
-        object.__setattr__(self, "breakpoints", bp)
-
-    def speed_at(self, t: float) -> float:
-        return _value_at(self.breakpoints, t, self.breakpoints[0][1])
-
-    def event_times(self) -> list:
-        """Times at which the wind speed actually changes (plus t=0 if nonzero)."""
-        return _change_times(self.breakpoints)
-
-
 def weight_to_torque(mass_lb: float, rp: RollPlantParams) -> float:
     """Torque magnitude of a wingtip weight: mass * g-equivalent * d/2, which must be finite."""
     torque = mass_lb * LB_TO_N * rp.wingspan_d / 2.0
@@ -116,38 +67,68 @@ def weight_to_torque(mass_lb: float, rp: RollPlantParams) -> float:
 
 
 @dataclass(frozen=True)
-class WeightDisturbance:
-    """Schedule of wingtip weights: (time, mass_lb) events, one side.
+class TorqueSchedule:
+    """Piecewise-constant disturbance roll torque, the one the observer estimates.
 
-    A weight on the left wingtip pulls the left tip down, which is the
-    negative roll direction in this convention.
+    ``before`` holds until the first point; each (start_time, torque)
+    point holds from its start time on. Built once per scenario from a
+    crosswind profile or a wingtip-weight schedule.
     """
 
-    schedule: tuple  # ((t0, lb0), (t1, lb1), ...), times non-decreasing
-    side: str = "left"
+    points: tuple = ()
+    before: float = 0.0
 
-    def __post_init__(self):
-        sched = tuple((float(t), float(m)) for t, m in self.schedule)
+    @classmethod
+    def from_wind(cls, breakpoints: tuple, wind_map: WindTorqueMap) -> TorqueSchedule:
+        """Torque of (start_time, speed) breakpoints: times from 0, strictly increasing."""
+        bp = tuple((float(t), float(v)) for t, v in breakpoints)
+        if not bp:
+            raise InvalidParameterError("wind profile needs at least one breakpoint", "breakpoints")
+        if bp[0][0] != 0.0:
+            raise InvalidParameterError("first wind breakpoint must be at t=0", "breakpoints")
+        for (t0, _), (t1, _) in zip(bp, bp[1:]):
+            if not t0 < t1 < math.inf:
+                raise InvalidParameterError(
+                    "wind breakpoint times must be finite and strictly increasing", "breakpoints")
+        points = tuple((t, wind_speed_to_torque(v, wind_map)) for t, v in bp)
+        return cls(points, before=points[0][1])
+
+    @classmethod
+    def from_weights(cls, schedule: tuple, side: str, rp: RollPlantParams) -> TorqueSchedule:
+        """Torque of (time, mass_lb) events on one wingtip: times finite, non-decreasing.
+
+        A weight on the left wingtip pulls the left tip down, which is the
+        negative roll direction in this convention.
+        """
+        sched = tuple((float(t), float(m)) for t, m in schedule)
         times = [t for t, _ in sched]
         if not all(math.isfinite(t) for t in times) or times != sorted(times):
             raise InvalidParameterError(
                 "weight schedule times must be finite and non-decreasing", "schedule")
-        if not all(0 <= m < math.inf for _, m in sched):
-            raise InvalidParameterError("weight masses must be finite and >= 0", "schedule")
-        if self.side not in ("left", "right"):
-            raise InvalidParameterError(
-                f"side must be 'left' or 'right', got {self.side!r}", "side")
-        object.__setattr__(self, "schedule", sched)
+        if side not in ("left", "right"):
+            raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}", "side")
+        sign = -1.0 if side == "left" else 1.0
+        return cls(tuple((t, sign * weight_to_torque(m, rp)) for t, m in sched),
+                   before=sign * weight_to_torque(0.0, rp))
 
-    def mass_at(self, t: float) -> float:
-        return _value_at(self.schedule, t, 0.0)
+    def at(self, t: float) -> float:
+        """Torque at time t."""
+        torque = self.before
+        for start, value in self.points:
+            if t >= start:
+                torque = value
+            else:
+                break
+        return torque
 
-    def torque_at(self, t: float, rp: RollPlantParams) -> float:
-        sign = -1.0 if self.side == "left" else 1.0
-        return sign * weight_to_torque(self.mass_at(t), rp)
-
-    def event_times(self) -> list:
-        return _change_times(self.schedule)
+    def change_times(self) -> list:
+        """Times at which the torque changes, counting from zero at t=0."""
+        changes, prev = [], 0.0
+        for start, value in self.points:
+            if value != prev:
+                changes.append(start)
+            prev = value
+        return changes
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +163,11 @@ class InputBuffer:
     kd == 0 the command passes straight through.
     """
 
-    def __init__(self, kd: int, initial: float = 0.0):
+    def __init__(self, kd: int):
         if kd < 0:
             raise InvalidParameterError(f"kd must be >= 0, got {kd}")
         self.kd = kd
-        self._q = deque([float(initial)] * kd, maxlen=kd if kd > 0 else 1)
+        self._q = deque([0.0] * kd, maxlen=kd if kd > 0 else 1)
 
     def __len__(self) -> int:
         return self.kd

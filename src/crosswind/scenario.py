@@ -19,13 +19,8 @@ import numpy as np
 from .controllers import MpcConfig, PidConfig
 from .errors import ScenarioError
 from .estimator import KalmanConfig
-from .model import RollPlantParams, delay_steps
-from .plant import (MotorParams, WeightDisturbance, WindProfile, WindTorqueMap, substep_count,
-                    weight_to_torque, wind_speed_to_torque)
-
-PLANT_KINDS = ("simplified", "full")
-CONTROLLERS = ("pid", "mpc_constrained", "mpc_unconstrained")
-ESTIMATORS = ("none", "pole_place", "kalman")
+from .model import MAX_STEPS, RollPlantParams, delay_steps
+from .plant import MotorParams, TorqueSchedule, WindTorqueMap, substep_count
 
 # section -> key -> (converter-name, default-as-string or None, the field it sets);
 # field names are unique across sections, so a field's error names its key
@@ -110,9 +105,7 @@ class ScenarioConfig:
     initial_theta: float
     initial_theta_dot: float
     plant_params: RollPlantParams
-    wind_profile: WindProfile | None
-    wind_map: WindTorqueMap | None
-    weights: WeightDisturbance | None
+    disturbance: TorqueSchedule  # from [wind] or [weights]; zero torque without either
     observer_poles: tuple
     kalman: KalmanConfig
     torque_filter_alpha: float
@@ -121,20 +114,10 @@ class ScenarioConfig:
     motor: MotorParams
     inner_dt: float
 
-    def wind_torque_at(self, t: float) -> float:
-        """True disturbance torque at time t."""
-        if self.wind_profile is not None:
-            return wind_speed_to_torque(self.wind_profile.speed_at(t), self.wind_map)
-        if self.weights is not None:
-            return self.weights.torque_at(t, self.plant_params)
-        return 0.0
-
     def event_times(self) -> list:
-        """Disturbance-change instants on the control grid, each once, before the run ends."""
-        disturbance = self.wind_profile or self.weights
-        raw = disturbance.event_times() if disturbance is not None else []
+        """Disturbance-torque changes on the control grid, each once, before the run ends."""
         n_steps = round(self.duration / self.Ts)
-        steps = (round(t / self.Ts) for t in raw)
+        steps = (round(t / self.Ts) for t in self.disturbance.change_times())
         return list(dict.fromkeys(k * self.Ts for k in steps if k < n_steps))
 
 
@@ -237,21 +220,18 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
     scalars = read("scenario")
     plant_params = _build("plant_params", RollPlantParams, **read("plant_params"))
 
-    wind_profile = wind_map = weights = None
+    disturbance = TorqueSchedule()
     profile_pairs = get("wind", "profile")
     schedule_pairs = get("weights", "schedule")
     if profile_pairs is not None:
-        wind_profile = _build("wind.profile", WindProfile, breakpoints=profile_pairs)
         wind_map = _build("wind", WindTorqueMap, quad_coeff_c=get("wind", "quad_coeff"),
                           direction=get("wind", "direction"))
-        for _, speed in wind_profile.breakpoints:
-            _build("wind.profile", wind_speed_to_torque, v=speed, wind_map=wind_map)
+        disturbance = _build("wind.profile", TorqueSchedule.from_wind,
+                             breakpoints=profile_pairs, wind_map=wind_map)
     if schedule_pairs is not None:
-        weights = _build("weights.schedule", WeightDisturbance,
-                         schedule=schedule_pairs, side=get("weights", "side"))
-        for _, mass in weights.schedule:
-            _build("weights.schedule", weight_to_torque, mass_lb=mass, rp=plant_params)
-    if wind_profile is not None and weights is not None:
+        disturbance = _build("weights.schedule", TorqueSchedule.from_weights,
+                             schedule=schedule_pairs, side=get("weights", "side"), rp=plant_params)
+    if profile_pairs is not None and schedule_pairs is not None:
         raise ScenarioError("a scenario may define wind or weights, not both")
 
     kalman = _build("estimator_params", KalmanConfig,
@@ -269,9 +249,7 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
     cfg = ScenarioConfig(
         **scalars,
         plant_params=plant_params,
-        wind_profile=wind_profile,
-        wind_map=wind_map,
-        weights=weights,
+        disturbance=disturbance,
         observer_poles=get("estimator_params", "poles"),
         kalman=kalman,
         torque_filter_alpha=get("estimator_params", "torque_filter_alpha"),
@@ -293,8 +271,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     if cfg.plant_kind == "full":
         _build("motor", substep_count, Ts=cfg.Ts, inner_dt=cfg.inner_dt)
     problems = []
-    if not 0.5 < cfg.duration / cfg.Ts < math.inf:  # round() of it is n_steps; NaN fails too
-        problems.append("scenario.duration must span 1 to finitely many scenario.ts steps")
+    if not 0.5 < cfg.duration / cfg.Ts < MAX_STEPS + 0.5:  # round() of it is n_steps; NaN fails
+        problems.append(f"scenario.duration must span 1 to {MAX_STEPS} scenario.ts steps")
     if not 0 <= cfg.noise_std < math.inf:
         problems.append("scenario.noise_std must be finite and >= 0")
     for key in ("initial_theta", "initial_theta_dot"):

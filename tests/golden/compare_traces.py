@@ -5,8 +5,10 @@
 Writes every bundled scenario's full trace CSV (all ten columns, through
 ``harness.write_trace``) once from a ``git archive`` of REV and once from
 the working tree's ``src/``, into a temporary directory. Prints per
-scenario whether the two files are byte-identical, or else the largest
-|difference| of the theta and cmd_torque columns. Exits 1 if any
+scenario whether the two files are byte-identical, or else every column
+whose text differs: a numeric column with its largest |difference| and
+the number of rows where it differs only in the sign of a zero, and
+``qp_status`` with the number of rows that differ. Exits 1 if any
 scenario differs or exists on one side only, 0 if all are identical.
 """
 
@@ -21,7 +23,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-COLUMNS = ("theta", "cmd_torque")
 
 # Run with PYTHONPATH=<tree>/src: argv[1] is the output directory, argv[2]
 # the package directory that must have been imported.
@@ -63,9 +64,10 @@ def write_traces(sides: dict) -> None:
 
 
 def read_columns(path: Path) -> dict:
+    """The CSV's columns by header name, each a list of the rows' texts."""
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return {c: [float(r[c]) for r in rows] for c in COLUMNS}
+        header, *rows = csv.reader(fh)
+    return {c: [r[i] for r in rows] for i, c in enumerate(header)}
 
 
 def max_delta(xs: list, ys: list) -> float:
@@ -79,6 +81,15 @@ def max_delta(xs: list, ys: list) -> float:
     return worst
 
 
+def column_change(column: str, xs: list, ys: list) -> str:
+    """How a column whose texts differ changed."""
+    if column == "qp_status":
+        return f"qp_status in {sum(x != y for x, y in zip(xs, ys))} rows"
+    a, b = [float(x) for x in xs], [float(y) for y in ys]
+    signed_zeros = sum(x != y and u == v == 0.0 for x, y, u, v in zip(xs, ys, a, b))
+    return f"{column} max |delta| {max_delta(a, b):.3e} ({signed_zeros} rows only the sign of 0)"
+
+
 def compare(name: str, old: Path, new: Path, rev: str) -> bool:
     if not old.exists() or not new.exists():
         print(f"{name}: only in {rev if old.exists() else 'the working tree'}")
@@ -87,11 +98,14 @@ def compare(name: str, old: Path, new: Path, rev: str) -> bool:
         print(f"{name}: byte-identical")
         return True
     a, b = read_columns(old), read_columns(new)
-    if len(a["theta"]) != len(b["theta"]):
-        print(f"{name}: {len(a['theta'])} rows at {rev}, {len(b['theta'])} in the working tree")
+    if a.keys() != b.keys():
+        print(f"{name}: the header differs from {rev}")
         return False
-    deltas = ", ".join(f"{c} {max_delta(a[c], b[c]):.3e}" for c in COLUMNS)
-    print(f"{name}: differs, max |delta| {deltas}")
+    if len(a["t"]) != len(b["t"]):
+        print(f"{name}: {len(a['t'])} rows at {rev}, {len(b['t'])} in the working tree")
+        return False
+    changes = "; ".join(column_change(c, a[c], b[c]) for c in a if a[c] != b[c])
+    print(f"{name}: differs: {changes}")
     return False
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,7 @@ from crosswind.plant import (
     MotorParams,
     RollState,
     SimplifiedPlantSimulator,
-    WeightDisturbance,
-    WindProfile,
+    TorqueSchedule,
     WindTorqueMap,
     measure_roll,
     saturate,
@@ -93,52 +94,55 @@ class TestDisturbances:
         assert wind_speed_to_torque(2.0, m) < 0
 
     def test_profile_lookup_and_events(self):
-        prof = WindProfile(breakpoints=((0.0, 0.0), (15.0, 2.2), (40.0, 0.0)))
-        assert prof.speed_at(0.0) == 0.0
-        assert prof.speed_at(15.0) == 2.2
-        assert prof.speed_at(39.9) == 2.2
-        assert prof.speed_at(40.0) == 0.0
-        assert prof.event_times() == [15.0, 40.0]
+        wind_map = WindTorqueMap()
+        prof = TorqueSchedule.from_wind(((0.0, 0.0), (15.0, 2.2), (40.0, 0.0)), wind_map)
+        assert prof.at(0.0) == 0.0
+        assert prof.at(15.0) == wind_speed_to_torque(2.2, wind_map)
+        assert prof.at(39.9) == wind_speed_to_torque(2.2, wind_map)
+        assert prof.at(40.0) == 0.0
+        assert prof.change_times() == [15.0, 40.0]
 
     def test_profile_validation(self):
+        wind_map = WindTorqueMap()
         with pytest.raises(InvalidParameterError):
-            WindProfile(breakpoints=((1.0, 0.0),))   # must start at zero
+            TorqueSchedule.from_wind(((1.0, 0.0),), wind_map)   # must start at zero
         with pytest.raises(InvalidParameterError):
-            WindProfile(breakpoints=((0.0, 0.0), (0.0, 1.0)))  # not increasing
+            TorqueSchedule.from_wind(((0.0, 0.0), (0.0, 1.0)), wind_map)  # not increasing
         for t in (float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError, match="finite"):
-                WindProfile(breakpoints=((0.0, 0.0), (t, 1.0)))
+                TorqueSchedule.from_wind(((0.0, 0.0), (t, 1.0)), wind_map)
         with pytest.raises(InvalidParameterError, match="finite torque"):
-            wind_speed_to_torque(1e155, WindTorqueMap())
+            wind_speed_to_torque(1e155, wind_map)
         with pytest.raises(InvalidParameterError, match="quad_coeff_c"):
             WindTorqueMap(quad_coeff_c=float("inf"))
         for v in (-1.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
-                WindProfile(breakpoints=((0.0, v),))
+                TorqueSchedule.from_wind(((0.0, v),), wind_map)
             with pytest.raises(InvalidParameterError):
-                wind_speed_to_torque(v, WindTorqueMap())
+                wind_speed_to_torque(v, wind_map)
 
     @pytest.mark.parametrize("mass", [-1.0, float("nan"), float("inf")])
     def test_weight_must_be_finite_and_nonnegative(self, mass):
         with pytest.raises(InvalidParameterError):
-            WeightDisturbance(schedule=((10.0, 15.0), (20.0, mass)))
+            TorqueSchedule.from_weights(((10.0, 15.0), (20.0, mass)), "left", RollPlantParams())
         with pytest.raises(InvalidParameterError):
             weight_to_torque(mass, RollPlantParams())
 
     @pytest.mark.parametrize("t", [5.0, float("nan"), float("inf")])
     def test_weight_times_must_be_finite_and_nondecreasing(self, t):
         with pytest.raises(InvalidParameterError, match="times"):
-            WeightDisturbance(schedule=((10.0, 15.0), (t, 0.0)))
+            TorqueSchedule.from_weights(((10.0, 15.0), (t, 0.0)), "left", RollPlantParams())
 
     def test_weight_schedule(self):
         rp = RollPlantParams()
-        w = WeightDisturbance(schedule=((10.0, 15.0), (35.0, 0.0)), side="left")
-        assert w.torque_at(5.0, rp) == 0.0
-        assert w.torque_at(10.0, rp) == pytest.approx(-weight_to_torque(15.0, rp))
-        assert w.torque_at(40.0, rp) == 0.0
-        assert w.event_times() == [10.0, 35.0]
-        right = WeightDisturbance(schedule=((0.0, 15.0),), side="right")
-        assert right.torque_at(1.0, rp) > 0
+        w = TorqueSchedule.from_weights(((10.0, 15.0), (35.0, 0.0)), "left", rp)
+        assert w.at(5.0) == 0.0
+        assert math.copysign(1.0, w.at(5.0)) == -1.0  # tau_w_true prints -0.0 before 10 s
+        assert w.at(10.0) == pytest.approx(-weight_to_torque(15.0, rp))
+        assert w.at(40.0) == 0.0
+        assert w.change_times() == [10.0, 35.0]
+        right = TorqueSchedule.from_weights(((0.0, 15.0),), "right", rp)
+        assert right.at(1.0) > 0
 
 
 class TestInputBuffer:

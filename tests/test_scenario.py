@@ -1,4 +1,6 @@
+import configparser
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ import pytest
 from crosswind.cli import main as cli_main
 from crosswind.errors import ScenarioError
 from crosswind.harness import compute_metrics, run_scenario
+from crosswind.plant import TorqueSchedule, WindTorqueMap, wind_speed_to_torque
 from crosswind.scenario import (
     SCENARIO_SCHEMA,
     bundled_scenario_names,
     load_bundled_scenario,
+    load_scenario_file,
     parse_scenario,
 )
 
@@ -37,7 +41,7 @@ class TestDefaults:
         assert np.allclose(np.diag(cfg.kalman.Q), [0.0001, 0.15, 3e8])
         assert cfg.kalman.R == 0.01
         assert cfg.mpc.Np == 30
-        assert cfg.wind_profile is None and cfg.weights is None
+        assert cfg.disturbance == TorqueSchedule()
 
     def test_pid_baseline_is_default_controller(self):
         cfg = parse_scenario(BASELINE)
@@ -54,8 +58,10 @@ controller = pid
 profile = 0:0, 15:2.22222, 40:0
 direction = -1
 """)
-        assert cfg.wind_profile.breakpoints == ((0.0, 0.0), (15.0, 2.22222), (40.0, 0.0))
-        assert cfg.wind_map.direction == -1
+        wind_map = WindTorqueMap(direction=-1)
+        assert cfg.disturbance == TorqueSchedule.from_wind(
+            ((0.0, 0.0), (15.0, 2.22222), (40.0, 0.0)), wind_map)
+        assert cfg.disturbance.at(20.0) == wind_speed_to_torque(2.22222, wind_map) < 0
         assert cfg.event_times() == [15.0, 40.0]
 
     def test_weights_parsed(self):
@@ -64,9 +70,9 @@ direction = -1
 side = right
 schedule = 10:15, 35:0
 """)
-        assert cfg.weights.side == "right"
-        assert cfg.weights.schedule == ((10.0, 15.0), (35.0, 0.0))
-        assert cfg.wind_torque_at(12.0) > 0
+        assert cfg.disturbance == TorqueSchedule.from_weights(
+            ((10.0, 15.0), (35.0, 0.0)), "right", cfg.plant_params)
+        assert cfg.disturbance.at(12.0) > 0
 
     @pytest.mark.parametrize("schedule", ["10:5, 10:15", "10:15, 10.04:0"])
     def test_changes_within_one_control_step_are_one_event(self, schedule):
@@ -175,6 +181,8 @@ schedule = 5:10
         ("weights.schedule", "nan:15"),  # a NaN or infinite time failed in event_times
         ("weights.schedule", "inf:15"),
         ("wind.profile", "0:1e155"),  # checked before wind and weights exclude each other
+        ("plant_params.input_delay", "1e300"),  # an OverflowError traceback from the buffer
+        ("scenario.duration", "1e12"),  # 1e13 steps: a run that did not end
     ])
     def test_bad_value_is_rejected_naming_its_key(self, key, value, capsys):
         with pytest.raises(ScenarioError, match=re.escape(key)):
@@ -182,6 +190,31 @@ schedule = 5:10
         code = cli_main(["sweep", "fullplant_weight_step",
                          "--param", key, "--values", value])
         assert code == 1 and key in capsys.readouterr().err
+
+    def test_more_steps_than_the_cap_are_rejected(self, tmp_path, capsys):
+        # 7e10 steps of 1 ns with no delay: the run did not end
+        ref = resources.files("crosswind") / "scenarios" / "fig8_mpc_weight_step.cfg"
+        doc = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        doc.read_string(ref.read_text(encoding="utf-8"))
+        doc.read_dict({"scenario": {"ts": "1e-9"}, "plant_params": {"input_delay": "0"}})
+        path = tmp_path / "tiny_ts.cfg"
+        with open(path, "w", encoding="utf-8") as fh:
+            doc.write(fh)
+        with pytest.raises(ScenarioError, match=re.escape("scenario.ts")):
+            load_scenario_file(str(path))
+        assert cli_main(["run", str(path)]) == 1 and "scenario.ts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,key,value,section", [
+        # an AreConvergenceError traceback
+        ("fig7_estimator_weights_kalman", "estimator_params.r", "1e300", "estimator_params"),
+        # "(A_aug, C_aug) is not observable", without a key
+        ("fig8_mpc_weight_step", "plant_params.inertia", "1e300", "estimator_params"),
+        # "H must be positive definite", without a key
+        ("fig8_mpc_weight_step", "mpc.terminal_weight", "1e300", "mpc"),
+    ])
+    def test_failed_design_names_its_section(self, name, key, value, section, capsys):
+        code = cli_main(["sweep", name, "--param", key, "--values", value])
+        assert code == 1 and f"error: {section}: " in capsys.readouterr().err
 
     def test_output_bounds_must_pair(self):
         with pytest.raises(ScenarioError):
@@ -217,7 +250,8 @@ class TestBundled:
         cfg = load_bundled_scenario("fig2_pid_steady")
         assert cfg.controller == "pid"
         assert cfg.estimator_kind == "none"
-        assert cfg.wind_profile.speed_at(1.0) == pytest.approx(3.12928)
+        assert cfg.disturbance.at(1.0) == wind_speed_to_torque(
+            3.12928, WindTorqueMap(quad_coeff_c=190.0))
         assert cfg.duration >= 90.0
 
     def test_all_bundled_parse(self):
