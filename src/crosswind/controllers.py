@@ -160,15 +160,9 @@ class PredictionStack:
     K_shift: np.ndarray
     M_shift: np.ndarray
     Qc_diag: np.ndarray
-    Rc_diag: np.ndarray
-    kd: int
     # first row of H^-1 G' Qc, the precomputed unconstrained gain
     gain_row: np.ndarray
     qp: QpWorkspace
-
-    def predict(self, x_shifted: np.ndarray) -> np.ndarray:
-        """Free response F(k) of the predicted outputs."""
-        return self.Phi @ x_shifted
 
 
 def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
@@ -176,7 +170,7 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
     Np = cfg.Np
     A, B, C = dm.A, dm.B, dm.C
     powers = [np.eye(2)]
-    for _ in range(max(Np, dm.kd)):
+    for _ in range(Np):
         powers.append(A @ powers[-1])
     Phi = np.vstack([C @ powers[j] for j in range(1, Np + 1)])
     first_col = np.array([(C @ powers[j] @ B)[0, 0] for j in range(Np)])
@@ -191,26 +185,26 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
         raise InvalidParameterError(
             f"H inverse verification failed: |H H^-1 - I| = {residual:.3e}"
         )
-    K_shift = powers[dm.kd]
-    if dm.kd > 0:
-        M_shift = np.hstack([powers[dm.kd - 1 - i] @ B for i in range(dm.kd)])
-    else:
-        M_shift = np.zeros((2, 0))
+    # column i of M_shift is A^(kd-1-i) B, filled newest first from one running
+    # power of A, which ends at K_shift = A^kd
+    M_shift = np.empty((2, dm.kd))
+    K_shift = np.eye(2)
+    for i in range(dm.kd - 1, -1, -1):
+        M_shift[:, i] = (K_shift @ B)[:, 0]
+        K_shift = A @ K_shift
     gain_row = (H_inv @ G.T @ np.diag(cfg.Qc_diag))[0]
     for arr in (Phi, G, H, K_shift, M_shift, gain_row):
         arr.setflags(write=False)
     return PredictionStack(Phi=Phi, G=G, H=H, K_shift=K_shift, M_shift=M_shift,
-                           Qc_diag=cfg.Qc_diag, Rc_diag=cfg.Rc_diag, kd=dm.kd,
-                           gain_row=gain_row, qp=qp)
+                           Qc_diag=cfg.Qc_diag, gain_row=gain_row, qp=qp)
 
 
 def _shift_from_history(x: RollState, history: np.ndarray, stack: PredictionStack) -> np.ndarray:
     """x(k+kd) from x(k) and the kd inputs applied in between."""
-    if history.size != stack.kd:
-        raise BufferLengthError(f"buffer holds {history.size} commands, model delay is {stack.kd}")
+    kd = stack.M_shift.shape[1]
+    if history.size != kd:
+        raise BufferLengthError(f"buffer holds {history.size} commands, model delay is {kd}")
     xv = np.array([x.theta, x.theta_dot])
-    if stack.kd == 0:
-        return xv
     return stack.K_shift @ xv + stack.M_shift @ history
 
 
@@ -229,7 +223,7 @@ def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStac
     saturation box so the physical command stays within limits.
     """
     xs = _shift_from_history(x, buf.as_array() + wind_estimate, stack)
-    u0 = -float(stack.gain_row @ stack.predict(xs))
+    u0 = -float(stack.gain_row @ (stack.Phi @ xs))
     return min(max(u0, -torque_limit + wind_estimate), torque_limit + wind_estimate)
 
 
@@ -252,7 +246,7 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
         raise InvalidParameterError("cfg output bounds do not match the stack; "
                                     "build the stack with build_prediction(dm, cfg)")
     xs = _shift_from_history(x, buf.as_array() + wind_estimate, stack)
-    F = stack.predict(xs)
+    F = stack.Phi @ xs
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
     lower = np.full(cfg.Np, cfg.u_min + wind_estimate)
     upper = np.full(cfg.Np, cfg.u_max + wind_estimate)

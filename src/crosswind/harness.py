@@ -302,8 +302,8 @@ def check_causality(trace: list, kd: int, torque_limit: float,
         if abs(r.applied_torque) > torque_limit + atol:
             return False
     for k in range(kd, len(trace)):
-        expected = trace[k - kd].cmd_torque if kd > 0 else trace[k].cmd_torque
-        if not math.isclose(trace[k].applied_torque, saturate(expected, torque_limit),
+        if not math.isclose(trace[k].applied_torque,
+                            saturate(trace[k - kd].cmd_torque, torque_limit),
                             rel_tol=0.0, abs_tol=atol):
             return False
     for k in range(min(kd, len(trace))):

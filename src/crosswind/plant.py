@@ -159,27 +159,19 @@ class InputBuffer:
     """FIFO of the last kd commanded torques, shared by plant, observer, MPC.
 
     The oldest entry is the command applied at the current step. ``push``
-    appends the new command and returns the evicted oldest one; with
-    kd == 0 the command passes straight through.
+    appends the new command and returns the oldest one, which with
+    kd == 0 is the command just pushed.
     """
 
     def __init__(self, kd: int):
         if kd < 0:
             raise InvalidParameterError(f"kd must be >= 0, got {kd}")
-        self.kd = kd
-        self._q = deque([0.0] * kd, maxlen=kd if kd > 0 else 1)
-
-    def __len__(self) -> int:
-        return self.kd
+        self._q = deque([0.0] * kd)
 
     def push(self, cmd: float) -> float:
         """Append cmd; return the torque applied at this step."""
-        cmd = float(cmd)
-        if self.kd == 0:
-            return cmd
-        applied = self._q[0]
-        self._q.append(cmd)
-        return applied
+        self._q.append(float(cmd))
+        return self._q.popleft()
 
     def as_array(self) -> np.ndarray:
         """Buffered commands oldest first: (tau(k-kd), ..., tau(k-1))."""
@@ -285,6 +277,12 @@ def _rk4_substeps(y: tuple, n: int, mp: MotorParams, rp: RollPlantParams,
     return th, thd, w1, w2, i1, i2
 
 
+def _check_inner_dt(dt: float) -> None:
+    """An RK4 substep must be in (0, 1 ms]; NaN fails too."""
+    if not 0 < dt <= 1e-3 + 1e-12:
+        raise InvalidParameterError(f"inner_dt must be in (0, 1 ms], got {dt}", "inner_dt")
+
+
 def step_full_plant(s: FullPlantState, mp: MotorParams, rp: RollPlantParams,
                     voltages: tuple, tau_w: float, dt: float) -> FullPlantState:
     """One RK4 step of the coupled roll + motor ODEs (the kernel with n = 1).
@@ -293,16 +291,14 @@ def step_full_plant(s: FullPlantState, mp: MotorParams, rp: RollPlantParams,
     FullPlantSimulator). Motor speeds are clamped at zero from below
     after the step since each motor runs in one direction only.
     """
-    if dt > 1e-3 + 1e-12:
-        raise InvalidParameterError(f"inner integration step must be <= 1 ms, got {dt}")
+    _check_inner_dt(dt)
     y = (s.theta, s.theta_dot, s.omega_m1, s.omega_m2, s.current_m1, s.current_m2)
     return FullPlantState(*_rk4_substeps(y, 1, mp, rp, voltages, tau_w, dt))
 
 
 def substep_count(Ts: float, inner_dt: float) -> int:
     """Number of RK4 substeps in one control interval; inner_dt must divide Ts."""
-    if not 0 < inner_dt <= 1e-3 + 1e-12:
-        raise InvalidParameterError(f"inner_dt must be in (0, 1 ms], got {inner_dt}", "inner_dt")
+    _check_inner_dt(inner_dt)
     ratio = Ts / inner_dt
     if not 0.5 < ratio < math.inf or abs(ratio - round(ratio)) > 1e-9:
         raise InvalidParameterError(f"inner_dt {inner_dt} s must divide Ts {Ts} s", "inner_dt")
@@ -393,8 +389,8 @@ def measure_roll(state, noise_std: float, rng: np.random.Generator) -> float:
 
     Deterministic for a fixed generator state; exact when noise_std is 0.
     """
-    if noise_std < 0:
-        raise InvalidParameterError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 <= noise_std < math.inf:  # NaN fails too
+        raise InvalidParameterError(f"noise_std must be finite and >= 0, got {noise_std}")
     theta = state.theta
     if noise_std == 0.0:
         return theta

@@ -220,17 +220,19 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
     scalars = read("scenario")
     plant_params = _build("plant_params", RollPlantParams, **read("plant_params"))
 
+    # the [wind] and [weights] keys are checked even where no profile or schedule uses them
     disturbance = TorqueSchedule()
+    wind_map = _build("wind", WindTorqueMap, quad_coeff_c=get("wind", "quad_coeff"),
+                      direction=get("wind", "direction"))
+    side = get("weights", "side")
     profile_pairs = get("wind", "profile")
     schedule_pairs = get("weights", "schedule")
     if profile_pairs is not None:
-        wind_map = _build("wind", WindTorqueMap, quad_coeff_c=get("wind", "quad_coeff"),
-                          direction=get("wind", "direction"))
         disturbance = _build("wind.profile", TorqueSchedule.from_wind,
                              breakpoints=profile_pairs, wind_map=wind_map)
     if schedule_pairs is not None:
         disturbance = _build("weights.schedule", TorqueSchedule.from_weights,
-                             schedule=schedule_pairs, side=get("weights", "side"), rp=plant_params)
+                             schedule=schedule_pairs, side=side, rp=plant_params)
     if profile_pairs is not None and schedule_pairs is not None:
         raise ScenarioError("a scenario may define wind or weights, not both")
 

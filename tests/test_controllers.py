@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -176,6 +177,26 @@ class TestBuildPrediction:
         for i in range(G.shape[0]):
             for j in range(i + 1, G.shape[1]):
                 assert G[i, j] == 0.0
+
+    def test_shift_matrices_are_powers_of_a(self, nominal_dm, stack):
+        # K_shift = A^kd and column i of M_shift = A^(kd-1-i) B, to the bit
+        A, B, kd = nominal_dm.A, nominal_dm.B, nominal_dm.kd
+        powers = [np.eye(2)]
+        for _ in range(kd):
+            powers.append(A @ powers[-1])
+        assert np.array_equal(stack.K_shift, powers[kd])
+        assert np.array_equal(stack.M_shift, np.hstack([powers[kd - 1 - i] @ B for i in range(kd)]))
+
+    def test_setup_memory_at_a_long_delay(self, nominal_cm):
+        # kd = 10^4 kept every power of A up to kd: a 3.7 MB peak
+        dm = discretize_zoh(nominal_cm, Ts=0.1, Td=1000.0)
+        tracemalloc.start()
+        try:
+            st = build_prediction(dm, make_mpc_cfg())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.M_shift.shape == (2, 10_000) and peak < 1_000_000
 
     def test_h_inverse_verified(self, stack):
         Np = stack.H.shape[0]

@@ -62,6 +62,19 @@ class TestRunScenario:
             kd = round(cfg.plant_params.input_delay_Td / cfg.Ts)
             assert check_causality(trace, kd, cfg.plant_params.torque_limit, atol=0.0), name
 
+    @pytest.mark.parametrize("name", ["fig8_pid_weight_step", "fig10_unconstrained_weight_step",
+                                      "fig8_mpc_weight_step"])
+    def test_zero_delay_runs_end_to_end(self, name, tmp_path):
+        cfg = load_bundled_scenario(name, overrides={"plant_params.input_delay": "0"})
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for p in paths:
+            trace = run_scenario(cfg)
+            write_trace(trace, str(p))
+        assert all(math.isfinite(v) for r in trace
+                   for v in (r.theta, r.theta_dot, r.cmd_torque, r.applied_torque))
+        assert check_causality(trace, 0, cfg.plant_params.torque_limit, atol=0.0)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_estimator_columns_nan_without_estimator(self):
         cfg = load_bundled_scenario("fig8_pid_weight_step")
         trace = run_scenario(cfg)

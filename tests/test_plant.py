@@ -315,6 +315,12 @@ class TestFullPlant:
         assert err < 0.05
 
 
+    @pytest.mark.parametrize("dt", [float("nan"), -1e-3, 0.0, 2e-3])
+    def test_substep_outside_0_to_1ms_rejected(self, nominal_params, dt):
+        # NaN was reported as divergence, -1 ms integrated backwards, 0 did nothing
+        with pytest.raises(InvalidParameterError, match="inner_dt"):
+            step_full_plant(FullPlantState(), MotorParams(), nominal_params, (0.0, 0.0), 0.0, dt)
+
     @pytest.mark.parametrize("motor,inner_dt", [(MotorParams(), 1e-3), (FAST_MOTOR, 2e-4)])
     @pytest.mark.parametrize("cmd", [350.0, -420.0, 0.0])
     def test_interval_equals_chained_substeps(self, nominal_params, motor, inner_dt, cmd):
@@ -380,6 +386,12 @@ class TestMeasurement:
     def test_negative_std_rejected(self):
         with pytest.raises(InvalidParameterError):
             measure_roll(RollState(), -0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("std", [float("nan"), float("inf")])
+    def test_non_finite_std_rejected(self, std):
+        # a NaN or infinite measurement came back
+        with pytest.raises(InvalidParameterError, match="noise_std"):
+            measure_roll(RollState(), std, np.random.default_rng(0))
 
 
 class TestTorqueToVoltages:

@@ -235,7 +235,7 @@ def banded_mpc(dm, Np=10, u_lim=400.0, band=0.01):
 
 def mpc_problem(cfg, stack, xs, wind=0.0):
     """f and bounds of the constrained MPC step for the shifted state xs."""
-    F = stack.predict(xs)
+    F = stack.Phi @ xs
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
     Np = cfg.Np
     return (f, np.full(Np, cfg.u_min + wind), np.full(Np, cfg.u_max + wind),

@@ -134,6 +134,11 @@ profile = 0:1
 schedule = 5:10
 """)
 
+    def test_side_is_checked_without_a_schedule(self):
+        # without weights.schedule the side was never read
+        with pytest.raises(ScenarioError, match=re.escape("weights.side")):
+            parse_scenario("[weights]\nside = up\n")
+
     def test_fractional_delay_rejected(self):
         with pytest.raises(ScenarioError, match="integer multiple"):
             parse_scenario("[plant_params]\ninput_delay = 0.55\n")
@@ -183,6 +188,8 @@ schedule = 5:10
         ("wind.profile", "0:1e155"),  # checked before wind and weights exclude each other
         ("plant_params.input_delay", "1e300"),  # an OverflowError traceback from the buffer
         ("scenario.duration", "1e12"),  # 1e13 steps: a run that did not end
+        ("wind.quad_coeff", "-1"),  # ignored without a wind.profile
+        ("wind.direction", "7"),
     ])
     def test_bad_value_is_rejected_naming_its_key(self, key, value, capsys):
         with pytest.raises(ScenarioError, match=re.escape(key)):
