@@ -11,8 +11,8 @@ update so the kd-sample shift stays aligned with the buffered commands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,12 +27,8 @@ from .plant import (
     RollState,
     SimplifiedPlantSimulator,
     measure_roll,
-    saturate,
 )
 from .scenario import ScenarioConfig
-
-TRACE_HEADER = ("t,theta,theta_dot,wingtip_disp,cmd_torque,applied_torque,"
-                "tau_w_true,tau_w_hat,tau_w_hat_filtered,qp_status")
 
 QP_NONE = "none"
 QP_OPTIMAL = "optimal"
@@ -55,6 +51,16 @@ class TraceRecord:
     qp_status: str
 
 
+# the trace's columns, in CSV order: every float column, then qp_status
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
+_FLOAT_COLUMNS = TRACE_HEADER.split(",")[:-1]
+
+
+def _column(trace: list, name: str) -> np.ndarray:
+    """The float column ``name`` of a trace."""
+    return np.fromiter(map(attrgetter(name), trace), dtype=float, count=len(trace))
+
+
 def run_scenario(cfg: ScenarioConfig) -> list:
     """Run one closed-loop scenario; returns the per-step trace.
 
@@ -73,7 +79,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     plant = _plant(cfg, dm)
     rng = np.random.default_rng(cfg.rng_seed)
     half_span = rp.wingspan_d / 2.0
-    torque_at = cfg.disturbance.at
+    torque_at = cfg.disturbance.on_grid(cfg.Ts).at
     trace: list = []
 
     for k in range(round(cfg.duration / cfg.Ts)):
@@ -201,46 +207,29 @@ def compute_metrics(trace: list, band: float, events: list | None = None) -> Met
     (reported relative to the event time); the not-settled case is
     flagged with settling_time None.
     """
-    if band <= 0:
-        raise ValueError(f"band must be > 0, got {band}")
+    if not 0 < band < np.inf:  # NaN fails too
+        raise ValueError(f"band must be finite and > 0, got {band}")
     if not trace:
         raise ValueError("empty trace")
-    t = np.array([r.t for r in trace])
-    disp = np.array([r.wingtip_disp for r in trace])
+    t = _column(trace, "t")
+    disp = np.abs(_column(trace, "wingtip_disp"))
     end_time = t[-1] + (t[1] - t[0] if len(t) > 1 else 0.0)
-    if not events:
-        events = [t[0]]
-    events = sorted(events)
-    windows = list(zip(events, events[1:] + [end_time]))
-
+    events = sorted(events or [t[0]])
     per_event = []
-    for ev, nxt in windows:
-        mask = (t >= ev - 1e-12) & (t < nxt - 1e-12)
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            per_event.append(EventMetrics(ev, nxt, None, 0.0))
-            continue
-        seg = np.abs(disp[idx])
-        peak = float(np.max(seg))
-        inside = seg <= band
-        # first index from which the band holds through the window end
-        holds_from = None
-        run = len(seg)
-        for i in range(len(seg) - 1, -1, -1):
-            if inside[i]:
-                run = i
-            else:
-                break
-        if run < len(seg):
-            holds_from = float(t[idx[run]] - ev)
-        per_event.append(EventMetrics(ev, nxt, holds_from, peak))
+    for ev, nxt in zip(events, events[1:] + [end_time]):
+        idx = np.flatnonzero((t >= ev - 1e-12) & (t < nxt - 1e-12))
+        seg = disp[idx]
+        # the band holds from just after the last sample outside it (NaN is outside)
+        outside = np.flatnonzero(~(seg <= band))
+        holds = outside[-1] + 1 if outside.size else 0
+        settling = float(t[idx[holds]] - ev) if holds < seg.size else None
+        per_event.append(EventMetrics(ev, nxt, settling, float(np.max(seg, initial=0.0))))
 
-    final = per_event[-1]
     return Metrics(
         band=band,
         per_event=tuple(per_event),
-        settling_time=final.settling_time,
-        peak_disp=float(np.max(np.abs(disp))),
+        settling_time=per_event[-1].settling_time,
+        peak_disp=float(np.max(disp)),
         settled=all(e.settled for e in per_event),
     )
 
@@ -268,13 +257,12 @@ def response_reduction(baseline: Metrics, candidate: Metrics) -> float:
 
 def write_trace(trace: list, path: str) -> None:
     """Write the trace as CSV with full-precision decimal floats."""
+    columns = [map(repr, _column(trace, name).tolist()) for name in _FLOAT_COLUMNS]
+    rows = zip(*columns, (r.qp_status for r in trace))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
-            for r in trace:
-                vals = [repr(float(getattr(r, f.name))) for f in fields(TraceRecord)
-                        if f.name != "qp_status"]
-                fh.write(",".join(vals) + f",{r.qp_status}\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from None
 
@@ -288,25 +276,18 @@ def read_trace(path: str) -> list:
         records = []
         for line in fh:
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 10:
+            if len(parts) != len(_FLOAT_COLUMNS) + 1:
                 raise ValueError(f"malformed trace row: {line!r}")
-            nums = [float(p) for p in parts[:9]]
-            records.append(TraceRecord(*nums, qp_status=parts[9]))
+            records.append(TraceRecord(*map(float, parts[:-1]), qp_status=parts[-1]))
     return records
 
 
 def check_causality(trace: list, kd: int, torque_limit: float,
                     atol: float = 1e-12) -> bool:
     """Verify applied(k) == cmd(k - kd) and saturation on every record."""
-    for r in trace:
-        if abs(r.applied_torque) > torque_limit + atol:
-            return False
-    for k in range(kd, len(trace)):
-        if not math.isclose(trace[k].applied_torque,
-                            saturate(trace[k - kd].cmd_torque, torque_limit),
-                            rel_tol=0.0, abs_tol=atol):
-            return False
-    for k in range(min(kd, len(trace))):
-        if trace[k].applied_torque != 0.0:
-            return False
-    return True
+    applied = _column(trace, "applied_torque")
+    cmd = _column(trace, "cmd_torque")[:max(len(trace) - kd, 0)]  # cmd(k - kd) for k >= kd
+    expected = np.clip(cmd, -torque_limit, torque_limit)
+    return bool(not np.any(np.abs(applied) > torque_limit + atol)
+                and np.all(np.abs(applied[kd:] - expected) <= atol)
+                and np.all(applied[:kd] == 0.0))

@@ -19,6 +19,7 @@ from .errors import InvalidParameterError, PlantDivergenceError
 from .model import DiscreteModel, RollPlantParams
 
 LB_TO_N = 4.44822  # pounds-force to newtons
+MAX_ROLL = 1e3  # rad: a plant rolled further has diverged, and no measurement noise is larger
 
 
 def saturate(u: float, limit: float) -> float:
@@ -120,6 +121,15 @@ class TorqueSchedule:
             else:
                 break
         return torque
+
+    def on_grid(self, ts: float) -> TorqueSchedule:
+        """This schedule with each change moved to step round(time / ts) of a ts grid.
+
+        The loop looks the torque up at k * ts, and an event is counted at
+        the same step. A time too far out for round() is beyond any run.
+        """
+        return TorqueSchedule(tuple((round(t / ts) * ts if abs(t / ts) < math.inf else t, v)
+                                    for t, v in self.points), self.before)
 
     def change_times(self) -> list:
         """Times at which the torque changes, counting from zero at t=0."""
@@ -334,7 +344,7 @@ class FullPlantSimulator:
         y = (s.theta, s.theta_dot, s.omega_m1, s.omega_m2, s.current_m1, s.current_m2)
         self.state = FullPlantState(*_rk4_substeps(
             y, self.n_inner, self.motor, self.rp, voltages, tau_w, self.inner_dt))
-        if abs(self.state.theta) > 1e3:
+        if abs(self.state.theta) > MAX_ROLL:
             raise PlantDivergenceError("full plant roll angle diverged")
 
 
@@ -375,7 +385,7 @@ class SimplifiedPlantSimulator:
         """Advance one sample; returns the saturated torque actually applied."""
         tau_sat = saturate(applied_torque, self.rp.torque_limit)
         self.state = _roll_step(self.state, tau_sat + tau_w, self.dm)
-        if abs(self.state.theta) > 1e3:
+        if abs(self.state.theta) > MAX_ROLL:
             raise PlantDivergenceError("simplified plant roll angle diverged")
         return tau_sat
 
@@ -389,8 +399,8 @@ def measure_roll(state, noise_std: float, rng: np.random.Generator) -> float:
 
     Deterministic for a fixed generator state; exact when noise_std is 0.
     """
-    if not 0 <= noise_std < math.inf:  # NaN fails too
-        raise InvalidParameterError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not 0 <= noise_std <= MAX_ROLL:  # NaN fails too
+        raise InvalidParameterError(f"noise_std must be in [0, {MAX_ROLL:g}] rad, got {noise_std}")
     theta = state.theta
     if noise_std == 0.0:
         return theta

@@ -150,6 +150,7 @@ def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
     M, gamma, usable = constraint_stack(p)
     if lam.shape != gamma.shape:
         raise InvalidParameterError(f"expected {gamma.size} multipliers, got {lam.size}")
+    gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out below
     grad = 2.0 * p.H @ u + p.f
     stat_raw = grad + M.T @ lam
     stat_scale = max(1.0, np.max(np.abs(grad)), np.max(np.abs(M.T @ lam)))
@@ -246,7 +247,8 @@ class QpWorkspace:
             gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
             scale = np.maximum(1.0, np.abs(gamma))
             mask = np.where(usable, 0.0, -np.inf)
-            with np.errstate(divide="ignore", invalid="ignore"):  # see the ratio test
+            # the ratio test divides by r, which may be 0 or small enough to overflow
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 u, lam, iterations, status = self._dual_active_set(
                     f, u, gamma, scale, mask, tol, max_iters,
                     history if track_objective else None)

@@ -20,7 +20,7 @@ from .controllers import MpcConfig, PidConfig
 from .errors import ScenarioError
 from .estimator import KalmanConfig
 from .model import MAX_STEPS, RollPlantParams, delay_steps
-from .plant import MotorParams, TorqueSchedule, WindTorqueMap, substep_count
+from .plant import MAX_ROLL, MotorParams, TorqueSchedule, WindTorqueMap, substep_count
 
 # section -> key -> (converter-name, default-as-string or None, the field it sets);
 # field names are unique across sections, so a field's error names its key
@@ -116,9 +116,9 @@ class ScenarioConfig:
 
     def event_times(self) -> list:
         """Disturbance-torque changes on the control grid, each once, before the run ends."""
-        n_steps = round(self.duration / self.Ts)
-        steps = (round(t / self.Ts) for t in self.disturbance.change_times())
-        return list(dict.fromkeys(k * self.Ts for k in steps if k < n_steps))
+        end = round(self.duration / self.Ts) * self.Ts
+        changes = self.disturbance.on_grid(self.Ts).change_times()
+        return list(dict.fromkeys(t for t in changes if t < end))
 
 
 def _convert(kind: str, raw: str, where: str):
@@ -275,8 +275,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     problems = []
     if not 0.5 < cfg.duration / cfg.Ts < MAX_STEPS + 0.5:  # round() of it is n_steps; NaN fails
         problems.append(f"scenario.duration must span 1 to {MAX_STEPS} scenario.ts steps")
-    if not 0 <= cfg.noise_std < math.inf:
-        problems.append("scenario.noise_std must be finite and >= 0")
+    if not 0 <= cfg.noise_std <= MAX_ROLL:  # NaN fails too
+        problems.append(f"scenario.noise_std must be in [0, {MAX_ROLL:g}] rad")
     for key in ("initial_theta", "initial_theta_dot"):
         if not math.isfinite(getattr(cfg, key)):
             problems.append(f"scenario.{key} must be finite")

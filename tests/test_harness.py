@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ def make_trace(disps, dt=0.1):
                         cmd_torque=0.0, applied_torque=0.0, tau_w_true=0.0,
                         tau_w_hat=0.0, tau_w_hat_filtered=0.0, qp_status="none")
             for k, d in enumerate(disps)]
+
+
+def causal_trace(cmds, kd, limit=1.0):
+    """A trace whose applied torque is its command kd steps late, clipped to the limit."""
+    applied = [0.0] * kd + [min(max(c, -limit), limit) for c in cmds]
+    return [replace(r, cmd_torque=c, applied_torque=a)
+            for r, c, a in zip(make_trace([0.0] * len(cmds)), cmds, applied)]
 
 
 class TestRunScenario:
@@ -314,8 +322,15 @@ class TestMetrics:
             assert e.peak_disp == 0.5
 
     def test_band_validation(self):
-        with pytest.raises(ValueError):
-            compute_metrics(make_trace([0.0]), band=0.0)
+        for band in (0.0, -0.02, float("nan"), float("inf")):  # NaN and inf ran to a result
+            with pytest.raises(ValueError, match="band"):
+                compute_metrics(make_trace([0.0]), band=band)
+
+    def test_nan_displacement_is_outside_the_band(self):
+        m = compute_metrics(make_trace([0.0] * 20 + [float("nan")] + [0.0] * 20), band=0.02)
+        assert m.settling_time == pytest.approx(2.1)
+        m = compute_metrics(make_trace([0.0] * 20 + [float("nan")]), band=0.02)
+        assert not m.settled
 
     def test_response_reduction(self):
         slow = compute_metrics(make_trace([0.5] * 99 + [0.0]), band=0.02)
@@ -323,6 +338,27 @@ class TestMetrics:
         fast = compute_metrics(make_trace(fast_disps), band=0.02)
         red = response_reduction(slow, fast)
         assert red == pytest.approx((9.9 - 1.0) / 9.9 * 100.0, abs=2.0)
+
+
+class TestCausality:
+    CMDS = [0.5, -2.0, 0.25, 3.0, -0.75, 0.0, 0.4]  # two beyond the limit of 1
+
+    def test_delayed_clipped_commands_accepted(self):
+        assert check_causality(causal_trace(self.CMDS, 2), 2, 1.0, atol=0.0)
+
+    def test_trace_shorter_than_the_delay_accepted(self):
+        assert check_causality(causal_trace(self.CMDS[:3], 5), 5, 1.0, atol=0.0)
+
+    @pytest.mark.parametrize("step,applied", [
+        (5, 3.0),  # the command applied on time but not clipped: over the limit
+        (4, 0.25 + 2e-9),  # off cmd(k - kd) by 2 atol, inside the limit
+        (1, 1e-300),  # a torque before the first command can arrive
+        (6, float("nan")),
+    ])
+    def test_one_broken_rule_rejected(self, step, applied):
+        trace = causal_trace(self.CMDS, 2)
+        trace[step] = replace(trace[step], applied_torque=applied)
+        assert not check_causality(trace, 2, 1.0, atol=1e-9)
 
 
 class TestCli:
@@ -347,6 +383,12 @@ class TestCli:
         assert code == 1
         assert not out_file.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_band_exits_1(self, capsys):
+        # printed response_reduction_pct: 0.00
+        code = cli_main(["compare", "fig8_pid_weight_step", "fig8_mpc_weight_step",
+                         "--band", "nan"])
+        assert code == 1 and "band" in capsys.readouterr().err
 
     def test_unknown_bundled_exits_1(self, capsys):
         assert cli_main(["run", "fig99_missing"]) == 1

@@ -387,9 +387,9 @@ class TestMeasurement:
         with pytest.raises(InvalidParameterError):
             measure_roll(RollState(), -0.1, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("std", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("std", [float("nan"), float("inf"), 2e3])
     def test_non_finite_std_rejected(self, std):
-        # a NaN or infinite measurement came back
+        # a NaN or infinite measurement came back; above the divergence roll, a huge one
         with pytest.raises(InvalidParameterError, match="noise_std"):
             measure_roll(RollState(), std, np.random.default_rng(0))
 

@@ -1,0 +1,68 @@
+"""Property tests: generated inputs, each checked against an independent oracle."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from crosswind.qpsolve import DEFAULT_TOL, QpProblem, check_kkt, solve_qp
+
+BOUND_KINDS = ("box", "free", "lower_only", "upper_only", "pinned")
+
+
+@st.composite
+def small_qps(draw):
+    """A QP with n <= 6, a well-conditioned H, mixed box bounds and 0-4 row bands.
+
+    The row bands are drawn independently of the box, so some cannot be
+    met inside it and the QP is infeasible.
+    """
+    n = draw(st.integers(1, 6))
+
+    def floats(size, lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    B = floats(n * n, -1.0, 1.0).reshape(n, n)
+    H = B @ B.T + n * np.eye(n)  # eigenvalues in [n, 2n]: condition number at most 2
+    f = floats(n, -10.0, 10.0)
+    centre, width = floats(n, -3.0, 3.0), floats(n, 0.0, 2.0)
+    kinds = np.array(draw(st.lists(st.sampled_from(BOUND_KINDS), min_size=n, max_size=n)))
+    lower = np.where(np.isin(kinds, ("free", "upper_only")), -np.inf, centre - width)
+    upper = np.where(np.isin(kinds, ("free", "lower_only")), np.inf, centre + width)
+    pinned = kinds == "pinned"
+    lower[pinned] = upper[pinned] = centre[pinned]
+    m = draw(st.integers(0, 4))
+    if m == 0:
+        return QpProblem(H=H, f=f, lower=lower, upper=upper)
+    rows = floats(m * n, -1.0, 1.0).reshape(m, n)
+    row_centre, row_width = floats(m, -6.0, 6.0), floats(m, 0.0, 2.0)
+    open_below, open_above = (np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+                              for _ in range(2))
+    return QpProblem(H=H, f=f, lower=lower, upper=upper, rows=rows,
+                     row_lower=np.where(open_below, -np.inf, row_centre - row_width),
+                     row_upper=np.where(open_above, np.inf, row_centre + row_width))
+
+
+def lp_feasible(p: QpProblem) -> bool:
+    """Whether the constraints of ``p`` have a solution, by scipy's HiGHS LP."""
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+              for lo, hi in zip(p.lower, p.upper)]
+    A_ub = b_ub = None
+    if p.rows is not None:
+        A, b = np.vstack([p.rows, -p.rows]), np.concatenate([p.row_upper, -p.row_lower])
+        A_ub, b_ub = A[np.isfinite(b)], b[np.isfinite(b)]
+    lp = linprog(np.zeros(p.n), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert lp.status in (0, 2), lp.message
+    return lp.status == 0
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(small_qps())
+def test_qp_status_is_certified(p):
+    """Every optimal solve passes check_kkt, every infeasible one is LP-infeasible."""
+    sol = solve_qp(p)
+    assert sol.status in ("optimal", "infeasible")  # never max_iters at the default cap
+    if sol.status == "optimal":
+        assert check_kkt(p, sol.u_star, sol.multipliers) <= DEFAULT_TOL
+    else:
+        assert not lp_feasible(p)

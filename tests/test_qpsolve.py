@@ -134,6 +134,13 @@ class TestCertificates:
         assert perturbed > base
         assert perturbed >= 1e-3 * 2.0 * H[1, 1] / (10 * max(1.0, np.max(np.abs(f))))
 
+    def test_infinite_bound_certifies_without_warning(self):
+        # -inf / inf in the primal term warned "invalid value encountered in divide"
+        p = QpProblem(H=[[0.1]], f=[0.0], lower=[0.0], upper=[np.inf])
+        sol = solve_qp(p)
+        assert sol.status == "optimal"
+        assert check_kkt(p, sol.u_star, sol.multipliers) == 0.0
+
     def test_zero_multipliers_interior(self, rng):
         H = random_pd(rng, 2)
         u_unc = -0.5 * np.linalg.solve(H, np.ones(2))
@@ -183,6 +190,12 @@ class TestSolverBehavior:
         sol = solve_qp(p, max_iters=200_000)
         assert sol.status in ("infeasible", "max_iters")
         assert sol.status == "infeasible"
+
+    def test_infeasible_with_a_subnormal_row(self):
+        # the ratio test's division by a tiny r warned "overflow encountered in divide"
+        p = QpProblem(H=[[1.0]], f=[0.0], lower=[1.0], upper=[1.0],
+                      rows=[[2.2250738585072014e-309]], row_lower=[1.0], row_upper=[1.0])
+        assert solve_qp(p).status == "infeasible"
 
     def test_equality_like_box(self):
         # lower == upper pins the variable

@@ -82,6 +82,26 @@ schedule = 10:15, 35:0
         metrics = compute_metrics(run_scenario(cfg), 0.02, cfg.event_times())
         assert len(metrics.per_event) == 1 and metrics.settled
 
+    @pytest.mark.parametrize("overrides,step", [
+        # the event was at 0.9 s, step 3, and the torque changed at 1.2 s
+        ({"scenario.ts": "0.3", "plant_params.input_delay": "0.3", "weights.schedule": "0.9:15"},
+         3),
+        ({"weights.schedule": "10.04:15"}, 100),  # the event was at 10.0 s, the torque at 10.1 s
+    ], ids=["time_on_the_grid_rounds_down", "time_off_the_grid"])
+    def test_torque_changes_on_the_step_of_its_event(self, overrides, step):
+        cfg = load_bundled_scenario("fig8_mpc_weight_step",
+                                    overrides={"scenario.duration": "12", **overrides})
+        trace = run_scenario(cfg)
+        assert cfg.event_times() == [trace[step].t]
+        assert trace[step - 1].tau_w_true == 0.0 != trace[step].tau_w_true
+
+    def test_change_too_far_out_for_the_grid_is_not_an_event(self):
+        # round(1e308 / ts) raised OverflowError
+        cfg = load_bundled_scenario("fig8_pid_weight_step", overrides={
+            "scenario.duration": "20", "weights.schedule": "10:15, 1e308:0"})
+        assert cfg.event_times() == [10.0]
+        assert run_scenario(cfg)[-1].tau_w_true != 0.0
+
     def test_change_at_the_end_of_the_run_is_not_an_event(self):
         cfg = load_bundled_scenario("fig8_mpc_weight_step", overrides={
             "scenario.duration": "20", "weights.schedule": "10:15, 19.96:0"})
@@ -155,6 +175,7 @@ schedule = 5:10
         ("mpc.horizon", "0"),
         ("mpc.horizon", "-3"),
         ("scenario.noise_std", "nan"),
+        ("scenario.noise_std", "1e200"),  # overflowed inside the MPC with no key
         ("scenario.initial_theta", "nan"),
         ("scenario.initial_theta_dot", "nan"),
         ("scenario.rng_seed", "-1"),
