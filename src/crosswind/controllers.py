@@ -22,7 +22,12 @@ from .estimator import lowpass
 from .model import DiscreteModel
 from .plant import InputBuffer, RollState, saturate
 # QpProblem and solve_qp stay importable from here for existing callers
-from .qpsolve import QpProblem, QpWorkspace, solve_qp  # noqa: F401
+from .qpsolve import DEFAULT_TOL, QpProblem, QpWorkspace, solve_qp  # noqa: F401
+
+# the largest PID derivative window and MPC horizon: a step's work grows with
+# both, the MPC's memory with the horizon squared (at 1000 a run peaks near 120 MB)
+MAX_DERIVATIVE_WINDOW = 1000
+MAX_HORIZON = 1000
 
 # ---------------------------------------------------------------------------
 # PID
@@ -42,8 +47,9 @@ class PidConfig:
     def __post_init__(self):
         if not 0 < self.Ts < math.inf:
             raise InvalidParameterError(f"Ts must be finite and > 0, got {self.Ts}", "Ts")
-        if self.derivative_window < 1:
-            raise InvalidParameterError("derivative_window must be >= 1", "derivative_window")
+        if not 1 <= self.derivative_window <= MAX_DERIVATIVE_WINDOW:
+            raise InvalidParameterError(
+                f"derivative_window must be in [1, {MAX_DERIVATIVE_WINDOW}]", "derivative_window")
         if not 0.0 < self.meas_filter_alpha <= 1.0:
             raise InvalidParameterError("meas_filter_alpha must be in (0, 1]", "meas_filter_alpha")
         for name in ("Kp", "Ki", "Kd"):
@@ -116,8 +122,8 @@ class MpcConfig:
     y_max: float | None = None
 
     def __post_init__(self):
-        if self.Np < 1:
-            raise InvalidParameterError(f"Np must be >= 1, got {self.Np}", "Np")
+        if not 1 <= self.Np <= MAX_HORIZON:
+            raise InvalidParameterError(f"Np must be in [1, {MAX_HORIZON}], got {self.Np}", "Np")
         Qc = np.asarray(self.Qc_diag, dtype=float).ravel()
         Rc = np.asarray(self.Rc_diag, dtype=float).ravel()
         if Qc.shape != (self.Np,) or Rc.shape != (self.Np,):
@@ -149,6 +155,8 @@ class PredictionStack:
     Phi maps the shifted state to the predicted outputs, G maps future
     inputs to outputs (lower triangular, Toeplitz), H = G'QcG + Rc, and
     K_shift / M_shift propagate the state across the kd-sample delay.
+    ``L`` = inv(H) G'Qc Phi is the one MPC gain: -L xs minimizes the QP
+    when no bound binds, and its first row is the closed-form law.
     ``qp`` is the constrained step's QP workspace, factorised once for H
     with G as its rows when the config bounds the predicted outputs; its
     ``H2_inv`` = inv(2H) is the stack's only inverse of H.
@@ -160,8 +168,7 @@ class PredictionStack:
     K_shift: np.ndarray
     M_shift: np.ndarray
     Qc_diag: np.ndarray
-    # first row of H^-1 G' Qc, the precomputed unconstrained gain
-    gain_row: np.ndarray
+    L: np.ndarray
     qp: QpWorkspace
 
 
@@ -192,11 +199,11 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
     for i in range(dm.kd - 1, -1, -1):
         M_shift[:, i] = (K_shift @ B)[:, 0]
         K_shift = A @ K_shift
-    gain_row = (H_inv @ G.T @ np.diag(cfg.Qc_diag))[0]
-    for arr in (Phi, G, H, K_shift, M_shift, gain_row):
+    L = H_inv @ (G.T @ (cfg.Qc_diag[:, None] * Phi))
+    for arr in (Phi, G, H, K_shift, M_shift, L):
         arr.setflags(write=False)
     return PredictionStack(Phi=Phi, G=G, H=H, K_shift=K_shift, M_shift=M_shift,
-                           Qc_diag=cfg.Qc_diag, gain_row=gain_row, qp=qp)
+                           Qc_diag=cfg.Qc_diag, L=L, qp=qp)
 
 
 def _shift_from_history(x: RollState, history: np.ndarray, stack: PredictionStack) -> np.ndarray:
@@ -223,19 +230,19 @@ def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStac
     saturation box so the physical command stays within limits.
     """
     xs = _shift_from_history(x, buf.as_array() + wind_estimate, stack)
-    u0 = -float(stack.gain_row @ (stack.Phi @ xs))
+    u0 = -float(stack.L[0] @ xs)
     return min(max(u0, -torque_limit + wind_estimate), torque_limit + wind_estimate)
 
 
 def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
                          cfg: MpcConfig, wind_estimate: float = 0.0,
                          qp_max_iters: int = 5000) -> float:
-    """Receding-horizon step solving the box(+output)-constrained QP.
+    """Receding-horizon step of the box(+output)-constrained QP.
 
-    The QP is solved on ``stack.qp``, the workspace ``build_prediction``
-    factorised for this H, so a step only forms f and the bounds. It
-    takes the unconstrained fast path when no bound binds and the dual
-    active-set method otherwise (see ``crosswind.qpsolve``).
+    When u = -L xs, the QP's minimizer if no bound binds, passes the
+    solver's feasibility test (u in the box, G u in the output band less
+    F = Phi xs), u[0] is the command. Otherwise the step forms f and the
+    bounds and solves the QP on ``stack.qp`` (``crosswind.qpsolve``).
 
     Raises QpInfeasibleError, carrying the solver status, when the QP is
     not solved to optimality (possible with tight output constraints);
@@ -247,14 +254,24 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
                                     "build the stack with build_prediction(dm, cfg)")
     xs = _shift_from_history(x, buf.as_array() + wind_estimate, stack)
     F = stack.Phi @ xs
-    f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
-    lower = np.full(cfg.Np, cfg.u_min + wind_estimate)
-    upper = np.full(cfg.Np, cfg.u_max + wind_estimate)
+    lower, upper = cfg.u_min + wind_estimate, cfg.u_max + wind_estimate
     row_lower = row_upper = None
     if cfg.y_min is not None:
-        row_lower = cfg.y_min - F
-        row_upper = cfg.y_max - F
-    sol = stack.qp.solve(f, lower, upper, row_lower, row_upper, max_iters=qp_max_iters)
+        row_lower, row_upper = cfg.y_min - F, cfg.y_max - F
+    u = -(stack.L @ xs)
+    # the solver's test, slack <= DEFAULT_TOL max(1, |bound|), multiplied out so that
+    # an infinite bound is met and a NaN fails; on the box only max(u) and min(u) count
+    inside = (u.max() - upper <= DEFAULT_TOL * max(1.0, abs(upper))
+              and lower - u.min() <= DEFAULT_TOL * max(1.0, abs(lower)))
+    if inside and row_lower is not None:
+        y = stack.G @ u
+        inside = ((y - row_upper <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_upper))).all()
+                  and (row_lower - y <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_lower))).all())
+    if inside:
+        return float(u[0])
+    f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
+    sol = stack.qp.solve(f, np.full(cfg.Np, lower), np.full(cfg.Np, upper), row_lower,
+                         row_upper, max_iters=qp_max_iters)
     if sol.status != "optimal":
         raise QpInfeasibleError(f"MPC quadratic program ended with status {sol.status!r}",
                                 status=sol.status)

@@ -96,16 +96,16 @@ class TorqueSchedule:
 
     @classmethod
     def from_weights(cls, schedule: tuple, side: str, rp: RollPlantParams) -> TorqueSchedule:
-        """Torque of (time, mass_lb) events on one wingtip: times finite, non-decreasing.
+        """Torque of (time, mass_lb) events on one wingtip: times finite, >= 0, non-decreasing.
 
         A weight on the left wingtip pulls the left tip down, which is the
         negative roll direction in this convention.
         """
         sched = tuple((float(t), float(m)) for t, m in schedule)
         times = [t for t, _ in sched]
-        if not all(math.isfinite(t) for t in times) or times != sorted(times):
+        if not all(0.0 <= t < math.inf for t in times) or times != sorted(times):  # NaN fails
             raise InvalidParameterError(
-                "weight schedule times must be finite and non-decreasing", "schedule")
+                "weight schedule times must be finite, >= 0 and non-decreasing", "schedule")
         if side not in ("left", "right"):
             raise InvalidParameterError(f"side must be 'left' or 'right', got {side!r}", "side")
         sign = -1.0 if side == "left" else 1.0
@@ -132,9 +132,13 @@ class TorqueSchedule:
                                     for t, v in self.points), self.before)
 
     def change_times(self) -> list:
-        """Times at which the torque changes, counting from zero at t=0."""
+        """Times at which the torque changes, counting from zero at t=0.
+
+        Of the points written at one time only the last holds, so changes
+        that cancel there are no change.
+        """
         changes, prev = [], 0.0
-        for start, value in self.points:
+        for start, value in dict(self.points).items():
             if value != prev:
                 changes.append(start)
             prev = value

@@ -7,9 +7,9 @@ so a ``QpWorkspace`` validates and factorises the fixed part once:
 inv(2H) and the constraint normals in the metric of inv(2H). Each
 ``QpWorkspace.solve`` then takes only f and the bounds.
 
-The unconstrained minimizer -inv(2H) f is returned at once when it
-satisfies every bound (the fast path). Otherwise the Goldfarb-Idnani
-dual active-set method (Goldfarb & Idnani, Math. Programming 27, 1983)
+The Goldfarb-Idnani dual active-set method (Goldfarb & Idnani, Math.
+Programming 27, 1983) starts from the unconstrained minimizer -inv(2H) f
+and returns it at its first test when it meets every bound. Otherwise it
 adds the most violated constraint, taking partial steps that drop
 blocking constraints from the active set and a pure dual step when the
 new constraint depends linearly on the active ones. It ends in finitely
@@ -39,7 +39,6 @@ DEFAULT_MAX_ITERS = 5000
 # a constraint whose normal keeps less than this share of its squared
 # inv(2H)-norm after projection off the active normals counts as dependent
 _DEPENDENT_REL = 1e-12
-_MAX_FLOAT = np.finfo(float).max
 
 
 def _check_hessian(H: np.ndarray, n: int) -> None:
@@ -168,7 +167,7 @@ class QpWorkspace:
     """The fixed part of a family of QPs: H and the row matrix.
 
     Built once, it validates H and caches ``H2_inv`` = inv(2H), the one
-    inverse of H (the fast path returns exactly -inv(2H) f). For the
+    inverse of H (every solve starts from exactly -inv(2H) f). For the
     stacked constraints of ``constraint_stack`` it also caches the
     normals mapped through inv(2H) and their inner products. Every
     constraint normal is plus or minus a row of N = [I; rows], so only
@@ -201,7 +200,6 @@ class QpWorkspace:
         self._sign = np.concatenate([np.ones(n), -np.ones(n), np.ones(k.size - n),
                                      -np.ones(k.size - n)])
         self._nonzero = (np.abs(N).max(axis=1) > 0.0)[self._base]
-        self._nonzero_all = bool(self._nonzero.all())
 
     def solve(self, f, lower, upper, row_lower=None, row_upper=None,
               tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
@@ -232,28 +230,20 @@ class QpWorkspace:
         elif row_lower is not None or row_upper is not None:
             raise InvalidParameterError("this workspace has no rows; row bounds must be None")
         gamma = np.concatenate(bounds)
-        # capped so that an infinite bound reads as -inf (met), not as inf / inf
-        scale = np.minimum(np.maximum(1.0, np.abs(gamma)), _MAX_FLOAT)
         u = self.H2_inv @ -f  # -(H2_inv @ f) would turn an exact +0 into -0
-        slack = self._slack(u, gamma)
-        viol_max = (slack / scale).max()  # NaN on a NaN bound: fails the test below
+        if not np.isfinite(u).all():
+            raise InvalidParameterError("f must be finite, and so must -inv(2H) f")
+        usable = np.isfinite(gamma) & self._nonzero  # non-finite bounds and zero rows
+        gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
+        scale = np.maximum(1.0, np.abs(gamma))
+        mask = np.where(usable, 0.0, -np.inf)
         history: list = []
-        if self._nonzero_all and viol_max <= tol:
-            lam, iterations, status = np.zeros(gamma.size), 0, "optimal"
-        else:  # mask out non-finite bounds and zero rows, then iterate
-            if not np.isfinite(u).all():  # a non-finite u always fails the test above
-                raise InvalidParameterError("f must be finite, and so must -inv(2H) f")
-            usable = np.isfinite(gamma) & self._nonzero
-            gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
-            scale = np.maximum(1.0, np.abs(gamma))
-            mask = np.where(usable, 0.0, -np.inf)
-            # the ratio test divides by r, which may be 0 or small enough to overflow
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                u, lam, iterations, status = self._dual_active_set(
-                    f, u, gamma, scale, mask, tol, max_iters,
-                    history if track_objective else None)
-            slack = self._slack(u, gamma)
-            viol_max = (slack / scale + mask).max()
+        # the ratio test divides by r, which may be 0 or small enough to overflow
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u, lam, iterations, status = self._dual_active_set(
+                f, u, gamma, scale, mask, tol, max_iters, history if track_objective else None)
+        slack = self._slack(u, gamma)
+        viol_max = (slack / scale + mask).max()
         return QpSolution(u_star=u, objective=float(u @ self.H @ u + f @ u),
                           kkt_residual=self._kkt_residual(u, f, lam, slack, scale, viol_max),
                           iterations=iterations, status=status, multipliers=lam,
@@ -271,9 +261,6 @@ class QpWorkspace:
         n = self.n
         grad = 2.0 * (self.H @ u) + f  # the bits of (2H) u + f: doubling is exact
         primal = max(0.0, viol_max)
-        if not lam.any():  # zero multipliers: only two terms remain
-            g = np.abs(grad).max()
-            return float(max(g / max(1.0, g), primal))
         M_lam = lam[:n] - lam[n:2 * n]
         if self.rows is not None:
             r = self.rows.shape[0]

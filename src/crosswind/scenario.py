@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .controllers import MpcConfig, PidConfig
+from .controllers import MAX_HORIZON, MpcConfig, PidConfig
 from .errors import ScenarioError
 from .estimator import KalmanConfig
 from .model import MAX_STEPS, RollPlantParams, delay_steps
@@ -240,7 +240,7 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
                     Q=np.diag(get("estimator_params", "q_diag")), R=get("estimator_params", "r"))
     pid = _build("pid", PidConfig, Ts=scalars["Ts"], **read("pid"))
     horizon, limit = get("mpc", "horizon"), plant_params.torque_limit
-    n = max(horizon, 1)  # MpcConfig rejects a horizon below 1 by its key
+    n = min(max(horizon, 1), MAX_HORIZON)  # MpcConfig rejects any other horizon by its key
     mpc = _build("mpc", MpcConfig, Np=horizon,
                  Qc_diag=np.append(np.ones(n - 1), get("mpc", "terminal_weight")),
                  Rc_diag=np.full(n, get("mpc", "control_weight")), u_min=-limit, u_max=limit,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from crosswind.controllers import (
+    MAX_DERIVATIVE_WINDOW,
+    MAX_HORIZON,
     MpcConfig,
     PidConfig,
     PidState,
@@ -18,6 +20,7 @@ from crosswind.controllers import (
 from crosswind.errors import BufferLengthError, InvalidParameterError, QpInfeasibleError
 from crosswind.model import discretize_zoh
 from crosswind.plant import InputBuffer, RollState, step_simplified_plant
+from crosswind.qpsolve import QpWorkspace
 
 
 def make_mpc_cfg(Np=30, terminal=50.0, rc=1e-9, u_lim=1000.0, y_min=None, y_max=None):
@@ -33,6 +36,12 @@ def stack(nominal_dm):
 
 
 class TestPid:
+    def test_derivative_window_is_capped(self):
+        PidConfig(derivative_window=MAX_DERIVATIVE_WINDOW)
+        with pytest.raises(InvalidParameterError, match="derivative_window") as err:
+            PidConfig(derivative_window=10**12)  # rejected before any history is allocated
+        assert err.value.field == "derivative_window"
+
     def test_zero_measurement_zero_command(self):
         cfg = PidConfig()
         ps = PidState.fresh(cfg)
@@ -202,6 +211,15 @@ class TestBuildPrediction:
         Np = stack.H.shape[0]
         assert np.max(np.abs(stack.H @ (2.0 * stack.qp.H2_inv) - np.eye(Np))) < 1e-9
 
+    def test_gain_gives_the_qp_minimizer(self, stack, rng):
+        # -L xs is the unconstrained minimizer -inv(2H) f of the step's QP
+        assert stack.L.shape == (30, 2)
+        for _ in range(20):
+            xs = np.array([rng.uniform(-0.05, 0.05), rng.uniform(-0.2, 0.2)])
+            f = 2.0 * (stack.G.T @ (stack.Qc_diag * (stack.Phi @ xs)))
+            ref = stack.qp.H2_inv @ -f
+            assert np.max(np.abs(-(stack.L @ xs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("terminal,rc", [(float("nan"), 1e-9), (50.0, float("inf"))])
     def test_nan_inverse_residual_fails(self, nominal_dm, terminal, rc):
         # MpcConfig rejects these weights, so a stand-in with the fields
@@ -242,6 +260,12 @@ class TestBuildPrediction:
             with pytest.raises(InvalidParameterError, match=field):
                 make_mpc_cfg(terminal=terminal, rc=rc)
 
+    def test_horizon_is_capped(self):
+        make_mpc_cfg(Np=MAX_HORIZON)
+        with pytest.raises(InvalidParameterError, match="Np") as err:
+            MpcConfig(Np=10**12, Qc_diag=np.ones(1), Rc_diag=np.ones(1))
+        assert err.value.field == "Np"
+
 
 class TestMpcSteps:
     def test_zero_state_zero_command(self, nominal_dm, stack):
@@ -263,6 +287,44 @@ class TestMpcSteps:
             u_con = mpc_constrained_step(x, buf, st, cfg)
             u_unc = mpc_unconstrained_step(x, buf, st, 1e6)
             assert abs(u_con - u_unc) < 1e-6
+
+    @pytest.mark.parametrize("theta,band,binds", [
+        (0.01, None, False),
+        (0.2, None, True),  # the torque box binds
+        (0.01, 0.005, False),
+        (0.015, 0.005, True),  # the output band binds, the box does not
+    ])
+    def test_qp_is_solved_only_when_a_bound_binds(self, nominal_dm, monkeypatch,
+                                                  theta, band, binds):
+        cfg = make_mpc_cfg(Np=10, y_min=None if band is None else -band, y_max=band)
+        st = build_prediction(nominal_dm, cfg)
+        x, buf = RollState(theta=theta), InputBuffer(nominal_dm.kd)
+        xs = st.K_shift @ np.array([theta, 0.0])  # zero buffer: only the state moves
+        F = st.Phi @ xs
+        row_bounds = () if band is None else (-band - F, band - F)
+        solved = st.qp.solve(2.0 * (st.G.T @ (st.Qc_diag * F)), np.full(10, -1000.0),
+                             np.full(10, 1000.0), *row_bounds)
+        assert (solved.iterations > 0) == binds and solved.status == "optimal"
+        calls = []
+        solve = QpWorkspace.solve
+        monkeypatch.setattr(QpWorkspace, "solve",
+                            lambda ws, *a, **k: calls.append(a) or solve(ws, *a, **k))
+        cmd = mpc_constrained_step(x, buf, st, cfg)
+        assert len(calls) == binds
+        if binds:
+            assert cmd == solved.u_star[0]
+        else:  # the closed-form law
+            assert cmd == pytest.approx(mpc_unconstrained_step(x, buf, st, 1000.0), rel=1e-12)
+
+    def test_infinite_bounds_are_met(self, nominal_dm, monkeypatch):
+        # an unbounded box and a one-sided band: the closed form, no solve, no warning
+        cfg = MpcConfig(Np=10, Qc_diag=np.append(np.ones(9), 50.0), Rc_diag=np.full(10, 1e-9),
+                        u_min=-np.inf, u_max=np.inf, y_min=-0.01, y_max=np.inf)
+        st = build_prediction(nominal_dm, cfg)
+        monkeypatch.setattr(QpWorkspace, "solve", None)
+        x, buf = RollState(theta=-0.3), InputBuffer(nominal_dm.kd)  # asks for over 5000 N m
+        closed_form = mpc_unconstrained_step(x, buf, st, np.inf)
+        assert mpc_constrained_step(x, buf, st, cfg) == pytest.approx(closed_form, rel=1e-12)
 
     def test_weight_scaling_invariance(self, nominal_dm):
         """Scaling Qc and Rc together leaves the law unchanged."""

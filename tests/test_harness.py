@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crosswind import controllers as ctrl
 from crosswind.cli import main as cli_main
 from crosswind.harness import (
     TRACE_HEADER,
@@ -159,19 +160,36 @@ output_max = 0.01
 side = left
 schedule = 10:15
 """)
-        solves = []
-        solve = QpWorkspace.solve
+        solves, steps = [], []
+        solve, step = QpWorkspace.solve, ctrl.mpc_constrained_step
 
         def recording(ws, f, lower, upper, row_lower=None, row_upper=None, **kwargs):
             sol = solve(ws, f, lower, upper, row_lower, row_upper, **kwargs)
             solves.append((ws, lower, upper, row_lower, row_upper, sol))
             return sol
 
+        def stepping(x, buf, stack, mpc, wind_estimate=0.0, **kwargs):
+            # this step's whole QP, solved directly: does a bound bind?
+            xs = ctrl._shift_from_history(x, buf.as_array() + wind_estimate, stack)
+            F = stack.Phi @ xs
+            ref = solve(stack.qp, 2.0 * (stack.G.T @ (stack.Qc_diag * F)),
+                        np.full(mpc.Np, mpc.u_min + wind_estimate),
+                        np.full(mpc.Np, mpc.u_max + wind_estimate), mpc.y_min - F, mpc.y_max - F)
+            n_solves = len(solves)
+            try:
+                return step(x, buf, stack, mpc, wind_estimate=wind_estimate, **kwargs)
+            finally:
+                steps.append((ref.iterations > 0 or ref.status != "optimal",
+                              len(solves) > n_solves))
+
         monkeypatch.setattr(QpWorkspace, "solve", recording)
+        monkeypatch.setattr(ctrl, "mpc_constrained_step", stepping)
         trace = run_scenario(cfg)
-        assert len(solves) == len(trace)
+        # the solver runs on exactly the steps where a bound binds
+        assert len(steps) == len(trace)
+        assert [solved for _, solved in steps] == [binds for binds, _ in steps]
         binding = [s for s in solves if s[-1].iterations > 0 or s[-1].status != "optimal"]
-        assert len(binding) >= 20
+        assert len(binding) == len(solves) >= 20
         for ws, lower, upper, row_lower, row_upper, sol in binding:
             lp = linprog(np.zeros(ws.n), A_ub=np.vstack([ws.rows, -ws.rows]),
                          b_ub=np.concatenate([row_upper, -row_lower]),

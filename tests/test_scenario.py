@@ -74,13 +74,20 @@ schedule = 10:15, 35:0
             ((10.0, 15.0), (35.0, 0.0)), "right", cfg.plant_params)
         assert cfg.disturbance.at(12.0) > 0
 
-    @pytest.mark.parametrize("schedule", ["10:5, 10:15", "10:15, 10.04:0"])
+    @pytest.mark.parametrize("schedule", ["10:5, 10:15"])
     def test_changes_within_one_control_step_are_one_event(self, schedule):
         cfg = load_bundled_scenario("fig8_mpc_weight_step",
                                     overrides={"weights.schedule": schedule})
         assert cfg.event_times() == [10.0]
         metrics = compute_metrics(run_scenario(cfg), 0.02, cfg.event_times())
         assert len(metrics.per_event) == 1 and metrics.settled
+
+    def test_changes_that_cancel_within_one_control_step_are_no_event(self):
+        # both land on step 100, and the torque on the grid never changes
+        cfg = load_bundled_scenario("fig8_mpc_weight_step", overrides={
+            "scenario.duration": "12", "weights.schedule": "10:15, 10.04:0"})
+        assert cfg.event_times() == []
+        assert {r.tau_w_true for r in run_scenario(cfg)} == {0.0}
 
     @pytest.mark.parametrize("overrides,step", [
         # the event was at 0.9 s, step 3, and the torque changed at 1.2 s
@@ -217,6 +224,17 @@ schedule = 5:10
             load_bundled_scenario("fullplant_weight_step", overrides={key: value})
         code = cli_main(["sweep", "fullplant_weight_step",
                          "--param", key, "--values", value])
+        assert code == 1 and key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("weights.schedule", "-5:15"),  # counted 5 s never simulated in the settling time
+        ("mpc.horizon", "1000000000000"),  # a MemoryError from the weight arrays
+        ("pid.derivative_window", "1000000000000"),  # a MemoryError from the PID history
+    ])
+    def test_value_out_of_range_is_rejected_naming_its_key(self, key, value, capsys):
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            load_bundled_scenario("fullplant_weight_step", overrides={key: value})
+        code = cli_main(["sweep", "fullplant_weight_step", "--param", key, f"--values={value}"])
         assert code == 1 and key in capsys.readouterr().err
 
     def test_more_steps_than_the_cap_are_rejected(self, tmp_path, capsys):
