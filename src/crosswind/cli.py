@@ -131,8 +131,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PlantDivergenceError as exc:
-        print(f"runtime divergence: {exc} (step {exc.step})", file=sys.stderr)
+    except PlantDivergenceError as exc:  # raised by run_scenario, which sets step, t and state
+        print(f"runtime divergence: {exc} (step {exc.step}, t = {exc.t:g} s, "
+              f"theta = {exc.state.theta:g} rad)", file=sys.stderr)
         return 2
     except (CrosswindError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -160,6 +160,12 @@ class PredictionStack:
     ``qp`` is the constrained step's QP workspace, factorised once for H
     with G as its rows when the config bounds the predicted outputs; its
     ``H2_inv`` = inv(2H) is the stack's only inverse of H.
+
+    The steps read the shift as plain floats: ``shift_floats`` is K_shift
+    row by row and m1 = M_shift 1, the wind term's column, so that
+    xs = K_shift x + h + w m1 with h the buffer's ``history_term``;
+    ``push_coeffs`` is A row by row, B and A^kd B, from which the buffer
+    keeps h current; ``L0`` is L's first row.
     """
 
     Phi: np.ndarray
@@ -170,6 +176,9 @@ class PredictionStack:
     Qc_diag: np.ndarray
     L: np.ndarray
     qp: QpWorkspace
+    shift_floats: tuple
+    push_coeffs: tuple
+    L0: tuple
 
 
 def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
@@ -202,12 +211,19 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
     L = H_inv @ (G.T @ (cfg.Qc_diag[:, None] * Phi))
     for arr in (Phi, G, H, K_shift, M_shift, L):
         arr.setflags(write=False)
-    return PredictionStack(Phi=Phi, G=G, H=H, K_shift=K_shift, M_shift=M_shift,
-                           Qc_diag=cfg.Qc_diag, L=L, qp=qp)
+    return PredictionStack(
+        Phi=Phi, G=G, H=H, K_shift=K_shift, M_shift=M_shift, Qc_diag=cfg.Qc_diag, L=L, qp=qp,
+        shift_floats=tuple(K_shift.ravel().tolist() + (M_shift @ np.ones(dm.kd)).tolist()),
+        push_coeffs=dm.floats + tuple((K_shift @ B).ravel().tolist()),
+        L0=tuple(L[0].tolist()))
 
 
 def _shift_from_history(x: RollState, history: np.ndarray, stack: PredictionStack) -> np.ndarray:
-    """x(k+kd) from x(k) and the kd inputs applied in between."""
+    """x(k+kd) from x(k) and the kd inputs applied in between, in O(kd).
+
+    The exact product; the steps read the same shift in O(1) through
+    ``_shifted``, within rounding of this one, and never call it.
+    """
     kd = stack.M_shift.shape[1]
     if history.size != kd:
         raise BufferLengthError(f"buffer holds {history.size} commands, model delay is {kd}")
@@ -215,10 +231,25 @@ def _shift_from_history(x: RollState, history: np.ndarray, stack: PredictionStac
     return stack.K_shift @ xv + stack.M_shift @ history
 
 
+def _shifted(x: RollState, buf: InputBuffer, stack: PredictionStack,
+             wind_estimate: float) -> tuple:
+    """xs = K_shift x + h + w m1 as two floats: the shift of x across the delay
+    when the model input over it is the buffered command plus w."""
+    k00, k01, k10, k11, m0, m1 = stack.shift_floats
+    h0, h1 = buf.history_term(stack)
+    theta, theta_dot = x.theta, x.theta_dot
+    return (k00 * theta + k01 * theta_dot + (h0 + wind_estimate * m0),
+            k10 * theta + k11 * theta_dot + (h1 + wind_estimate * m1))
+
+
 def shift_state(x_k: RollState, buf: InputBuffer, stack: PredictionStack) -> RollState:
-    """Propagate the state across the delay: x(k+kd) from x(k) and the buffer."""
-    xs = _shift_from_history(x_k, buf.as_array(), stack)
-    return RollState(theta=float(xs[0]), theta_dot=float(xs[1]))
+    """Propagate the state across the delay: x(k+kd) from x(k) and the buffer.
+
+    K_shift x(k) + h in O(1), where h = M_shift @ buf.as_array() is the
+    buffer's running ``history_term``.
+    """
+    theta, theta_dot = _shifted(x_k, buf, stack, 0.0)
+    return RollState(theta=theta, theta_dot=theta_dot)
 
 
 def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
@@ -229,8 +260,9 @@ def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStac
     downstream; it shifts both the effective delayed inputs and the
     saturation box so the physical command stays within limits.
     """
-    xs = _shift_from_history(x, buf.as_array() + wind_estimate, stack)
-    u0 = -float(stack.L[0] @ xs)
+    xs0, xs1 = _shifted(x, buf, stack, wind_estimate)
+    l0, l1 = stack.L0
+    u0 = -(l0 * xs0 + l1 * xs1)
     return min(max(u0, -torque_limit + wind_estimate), torque_limit + wind_estimate)
 
 
@@ -242,7 +274,8 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
     When u = -L xs, the QP's minimizer if no bound binds, passes the
     solver's feasibility test (u in the box, G u in the output band less
     F = Phi xs), u[0] is the command. Otherwise the step forms f and the
-    bounds and solves the QP on ``stack.qp`` (``crosswind.qpsolve``).
+    bounds and solves the QP on ``stack.qp`` (``crosswind.qpsolve``). F is
+    formed only for an output band or the QP.
 
     Raises QpInfeasibleError, carrying the solver status, when the QP is
     not solved to optimality (possible with tight output constraints);
@@ -252,23 +285,26 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
     if (cfg.y_min is None) != (stack.qp.rows is None):
         raise InvalidParameterError("cfg output bounds do not match the stack; "
                                     "build the stack with build_prediction(dm, cfg)")
-    xs = _shift_from_history(x, buf.as_array() + wind_estimate, stack)
-    F = stack.Phi @ xs
+    xs0, xs1 = _shifted(x, buf, stack, wind_estimate)
+    u = stack.L.dot(np.array((-xs0, -xs1)))  # -(L xs) to the bit: negation is exact
     lower, upper = cfg.u_min + wind_estimate, cfg.u_max + wind_estimate
+    # the solver's test, slack <= DEFAULT_TOL max(1, |bound|), multiplied out so that
+    # an infinite bound is met; on the box only min(u) and max(u) count, read from
+    # one sort, which puts any NaN last, where it fails the test
+    ends = np.sort(u)
+    inside = (ends[-1] - upper <= DEFAULT_TOL * max(1.0, abs(upper))
+              and lower - ends[0] <= DEFAULT_TOL * max(1.0, abs(lower)))
+    if inside and cfg.y_min is None:
+        return float(u[0])
+    F = stack.Phi @ np.array((xs0, xs1))
     row_lower = row_upper = None
     if cfg.y_min is not None:
         row_lower, row_upper = cfg.y_min - F, cfg.y_max - F
-    u = -(stack.L @ xs)
-    # the solver's test, slack <= DEFAULT_TOL max(1, |bound|), multiplied out so that
-    # an infinite bound is met and a NaN fails; on the box only max(u) and min(u) count
-    inside = (u.max() - upper <= DEFAULT_TOL * max(1.0, abs(upper))
-              and lower - u.min() <= DEFAULT_TOL * max(1.0, abs(lower)))
-    if inside and row_lower is not None:
-        y = stack.G @ u
-        inside = ((y - row_upper <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_upper))).all()
-                  and (row_lower - y <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_lower))).all())
-    if inside:
-        return float(u[0])
+        if inside:
+            y = stack.G @ u
+            if ((y - row_upper <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_upper))).all()
+                    and (row_lower - y <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_lower))).all()):
+                return float(u[0])
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
     sol = stack.qp.solve(f, np.full(cfg.Np, lower), np.full(cfg.Np, upper), row_lower,
                          row_upper, max_iters=qp_max_iters)

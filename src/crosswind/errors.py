@@ -53,12 +53,19 @@ class QpInfeasibleError(CrosswindError, RuntimeError):
 
 
 class PlantDivergenceError(CrosswindError, RuntimeError):
-    """Simulated plant state became non-finite or unreasonably large."""
+    """Simulated plant state became non-finite or unreasonably large.
 
-    def __init__(self, message, step=None, partial_trace=None):
+    A run that diverges sets ``step`` and its time ``t``, the
+    ``partial_trace`` up to that step, and ``state``, the last finite
+    plant state.
+    """
+
+    def __init__(self, message, step=None, partial_trace=None, t=None, state=None):
         super().__init__(message)
         self.step = step
         self.partial_trace = partial_trace
+        self.t = t
+        self.state = state
 
 
 class ScenarioError(CrosswindError, ValueError):

@@ -28,14 +28,19 @@ DEFAULT_TORQUE_FILTER_ALPHA = 0.2
 
 @dataclass(frozen=True)
 class ObserverGain:
-    """Observer gain column L; (A_aug - L C_aug) must be Schur stable."""
+    """Observer gain column L; (A_aug - L C_aug) must be Schur stable.
+
+    ``floats`` is L as three plain floats, read once for observer_step.
+    """
 
     L: np.ndarray
+    floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L = np.asarray(self.L, dtype=float).reshape(3, 1)
         L.setflags(write=False)
         object.__setattr__(self, "L", L)
+        object.__setattr__(self, "floats", tuple(L.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -180,11 +185,18 @@ def observer_step(os_: ObserverState, y_meas: float, delayed_cmd: float,
 
     x^+ = A_aug x + B_aug u(k-kd) + L (y - C_aug x); the torque estimate
     is additionally low-pass filtered for use by the feed-forward path.
+    The update runs on the plain-float views ``am.floats`` and
+    ``gain.floats``; only the new x_hat is an array.
     """
-    x = os_.x_hat
-    innovation = y_meas - (am.C_aug @ x)[0]
-    x_next = am.A_aug @ x + am.B_aug.ravel() * delayed_cmd + gain.L.ravel() * innovation
-    filtered = lowpass(os_.filtered_tau_w, float(x_next[2]), filter_alpha)
+    a00, a01, a02, a10, a11, a12, a20, a21, a22, b0, b1, b2, c0, c1, c2 = am.floats
+    l0, l1, l2 = gain.floats
+    x0, x1, x2 = os_.x_hat.tolist()
+    innovation = y_meas - (c0 * x0 + c1 * x1 + c2 * x2)
+    tau_w = a20 * x0 + a21 * x1 + a22 * x2 + b2 * delayed_cmd + l2 * innovation
+    x_next = np.array((a00 * x0 + a01 * x1 + a02 * x2 + b0 * delayed_cmd + l0 * innovation,
+                       a10 * x0 + a11 * x1 + a12 * x2 + b1 * delayed_cmd + l1 * innovation,
+                       tau_w))
+    filtered = lowpass(os_.filtered_tau_w, tau_w, filter_alpha)
     return ObserverState(x_hat=x_next, filtered_tau_w=filtered)
 
 

@@ -67,7 +67,8 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     The observer, the controller and the plant are chosen once, before
     the loop. QP infeasibility falls back to the saturated closed-form
     law and flags the record; plant divergence raises
-    PlantDivergenceError carrying the partial trace. An observer or MPC
+    PlantDivergenceError carrying the step, its time, the partial trace
+    and the last finite plant state. An observer or MPC
     design that fails is a ScenarioError naming its section.
     """
     rp = cfg.plant_params
@@ -103,7 +104,8 @@ def run_scenario(cfg: ScenarioConfig) -> list:
         try:
             plant.apply_command(applied, tau_w)
         except PlantDivergenceError as exc:
-            raise PlantDivergenceError(str(exc), step=k, partial_trace=trace) from None
+            raise PlantDivergenceError(str(exc), step=k, partial_trace=trace, t=t,
+                                       state=plant.state) from None
 
     return trace
 
@@ -144,14 +146,14 @@ def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
     closed_form, constrained = ctrl.mpc_unconstrained_step, ctrl.mpc_constrained_step
 
     def unconstrained(y, observer, wind_ff, status=QP_NONE):
-        x_hat = RollState(theta=float(observer.x_hat[0]), theta_dot=float(observer.x_hat[1]))
+        x_hat = RollState(*observer.x_hat[:2].tolist())
         return closed_form(x_hat, buffer, stack, limit, wind_estimate=wind_ff), status
 
     if cfg.controller == "mpc_unconstrained":
         return unconstrained
 
     def qp(y, observer, wind_ff):
-        x_hat = RollState(theta=float(observer.x_hat[0]), theta_dot=float(observer.x_hat[1]))
+        x_hat = RollState(*observer.x_hat[:2].tolist())
         try:
             return constrained(x_hat, buffer, stack, mpc_cfg, wind_estimate=wind_ff), QP_OPTIMAL
         except QpInfeasibleError:

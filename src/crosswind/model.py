@@ -78,34 +78,51 @@ class ContinuousModel:
         object.__setattr__(self, "B_c", _readonly(self.B_c))
 
 
+def _floats(*arrays) -> tuple:
+    """The entries of the arrays, each read row by row, as one tuple of plain floats."""
+    return tuple(v for a in arrays for v in a.ravel().tolist())
+
+
 @dataclass(frozen=True)
 class DiscreteModel:
-    """Exact ZOH discretization of a ContinuousModel plus the sample delay."""
+    """Exact ZOH discretization of a ContinuousModel plus the sample delay.
+
+    ``floats`` is (a00, a01, a10, a11, b0, b1): A and B as plain floats,
+    read once here for the per-step plant map.
+    """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray = field(default_factory=lambda: np.array([[1.0, 0.0]]))
     Ts: float = 0.1
     kd: int = 10
+    floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _readonly(self.A))
         object.__setattr__(self, "B", _readonly(np.asarray(self.B, dtype=float).reshape(2, 1)))
         object.__setattr__(self, "C", _readonly(self.C))
+        object.__setattr__(self, "floats", _floats(self.A, self.B))
 
 
 @dataclass(frozen=True)
 class AugmentedModel:
-    """Roll model augmented with the wind torque as a constant third state."""
+    """Roll model augmented with the wind torque as a constant third state.
+
+    ``floats`` holds A_aug (row by row), B_aug and C_aug as 15 plain
+    floats, read once here for the per-step observer update.
+    """
 
     A_aug: np.ndarray
     B_aug: np.ndarray
     C_aug: np.ndarray
+    floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A_aug", _readonly(self.A_aug))
         object.__setattr__(self, "B_aug", _readonly(self.B_aug))
         object.__setattr__(self, "C_aug", _readonly(self.C_aug))
+        object.__setattr__(self, "floats", _floats(self.A_aug, self.B_aug, self.C_aug))
 
 
 def expm_small(M: np.ndarray) -> np.ndarray:

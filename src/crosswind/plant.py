@@ -10,12 +10,13 @@ profile or wingtip weights, and the measurement-noise model live here too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError, PlantDivergenceError
+from .errors import BufferLengthError, InvalidParameterError, PlantDivergenceError
 from .model import DiscreteModel, RollPlantParams
 
 LB_TO_N = 4.44822  # pounds-force to newtons
@@ -72,12 +73,21 @@ class TorqueSchedule:
     """Piecewise-constant disturbance roll torque, the one the observer estimates.
 
     ``before`` holds until the first point; each (start_time, torque)
-    point holds from its start time on. Built once per scenario from a
-    crosswind profile or a wingtip-weight schedule.
+    point holds from its start time on, and of the points written at one
+    time the last holds. Start times are non-decreasing. Built once per
+    scenario from a crosswind profile or a wingtip-weight schedule.
     """
 
     points: tuple = ()
     before: float = 0.0
+    _starts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        starts = tuple(t for t, _ in self.points)
+        # each time against the one before it, the first against itself: NaN fails too
+        if not all(t0 <= t1 for t0, t1 in zip(starts[:1] + starts, starts)):
+            raise InvalidParameterError("torque schedule times must be non-decreasing", "points")
+        object.__setattr__(self, "_starts", starts)
 
     @classmethod
     def from_wind(cls, breakpoints: tuple, wind_map: WindTorqueMap) -> TorqueSchedule:
@@ -113,14 +123,9 @@ class TorqueSchedule:
                    before=sign * weight_to_torque(0.0, rp))
 
     def at(self, t: float) -> float:
-        """Torque at time t."""
-        torque = self.before
-        for start, value in self.points:
-            if t >= start:
-                torque = value
-            else:
-                break
-        return torque
+        """Torque at time t: the last point starting at or before t, in O(log n)."""
+        i = bisect_right(self._starts, t) if t == t else 0  # NaN is before every point
+        return self.points[i - 1][1] if i else self.before
 
     def on_grid(self, ts: float) -> TorqueSchedule:
         """This schedule with each change moved to step round(time / ts) of a ts grid.
@@ -175,17 +180,58 @@ class InputBuffer:
     The oldest entry is the command applied at the current step. ``push``
     appends the new command and returns the oldest one, which with
     kd == 0 is the command just pushed.
+
+    The MPC shift reads the buffer only through ``history_term``, the two
+    floats h = M_shift @ as_array(). The buffer computes h exactly when a
+    stack reads it first, then keeps it current on each push in O(1),
+    h <- A h + B u_new - A^kd B u_old, and computes it exactly again on
+    the first read after kd pushes, so rounding drift stays bounded even
+    when A has eigenvalues at 1. A read by another stack, and a push that
+    makes h non-finite, also lead to the exact computation.
     """
 
     def __init__(self, kd: int):
         if kd < 0:
             raise InvalidParameterError(f"kd must be >= 0, got {kd}")
         self._q = deque([0.0] * kd)
+        self._reader = None  # the stack whose h is kept current, None when h is stale
+        self._left = 0  # pushes h is kept current for before the next exact computation
+        self._h = (0.0, 0.0)
+        self._coeffs = None
 
     def push(self, cmd: float) -> float:
         """Append cmd; return the torque applied at this step."""
-        self._q.append(float(cmd))
-        return self._q.popleft()
+        cmd = float(cmd)
+        q = self._q
+        q.append(cmd)
+        old = q.popleft()
+        if self._left:
+            self._left -= 1
+            a00, a01, a10, a11, b0, b1, c0, c1 = self._coeffs
+            h0, h1 = self._h
+            h0, h1 = (a00 * h0 + a01 * h1 + b0 * cmd - c0 * old,
+                      a10 * h0 + a11 * h1 + b1 * cmd - c1 * old)
+            if self._left and math.isfinite(h0) and math.isfinite(h1):
+                self._h = h0, h1
+            else:  # kd pushes since h was exact, or h is not finite: the next read recomputes it
+                self._reader, self._left = None, 0
+        return old
+
+    def history_term(self, stack) -> tuple:
+        """h = stack.M_shift @ as_array() as two floats; see the class notes.
+
+        ``stack`` is a ``controllers.PredictionStack``: its ``M_shift``
+        gives the exact h and its ``push_coeffs`` (A, B and A^kd B as
+        plain floats) the update on each push.
+        """
+        if self._reader is not stack:
+            kd = stack.M_shift.shape[1]
+            if kd != len(self._q):
+                raise BufferLengthError(
+                    f"buffer holds {len(self._q)} commands, model delay is {kd}")
+            self._h = tuple((stack.M_shift @ self.as_array()).tolist())
+            self._coeffs, self._reader, self._left = stack.push_coeffs, stack, kd
+        return self._h
 
     def as_array(self) -> np.ndarray:
         """Buffered commands oldest first: (tau(k-kd), ..., tau(k-1))."""
@@ -357,9 +403,10 @@ class FullPlantSimulator:
 
 
 def _roll_step(s: RollState, tau: float, dm: DiscreteModel) -> RollState:
-    """The exact discrete map under the total roll torque tau."""
-    theta = dm.A[0, 0] * s.theta + dm.A[0, 1] * s.theta_dot + dm.B[0, 0] * tau
-    theta_dot = dm.A[1, 0] * s.theta + dm.A[1, 1] * s.theta_dot + dm.B[1, 0] * tau
+    """The exact discrete map under the total roll torque tau, on dm's plain floats."""
+    a00, a01, a10, a11, b0, b1 = dm.floats
+    theta = a00 * s.theta + a01 * s.theta_dot + b0 * tau
+    theta_dot = a10 * s.theta + a11 * s.theta_dot + b1 * tau
     if not (math.isfinite(theta) and math.isfinite(theta_dot)):
         raise PlantDivergenceError("simplified plant state became non-finite")
     return RollState(theta=theta, theta_dot=theta_dot)

@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from crosswind import controllers as ctrl
 from crosswind.controllers import (
     MAX_DERIVATIVE_WINDOW,
     MAX_HORIZON,
@@ -18,7 +20,7 @@ from crosswind.controllers import (
     shift_state,
 )
 from crosswind.errors import BufferLengthError, InvalidParameterError, QpInfeasibleError
-from crosswind.model import discretize_zoh
+from crosswind.model import RollPlantParams, continuous_roll_model, discretize_zoh
 from crosswind.plant import InputBuffer, RollState, step_simplified_plant
 from crosswind.qpsolve import QpWorkspace
 
@@ -401,3 +403,105 @@ class TestMpcSteps:
         cfg = make_mpc_cfg(y_min=-0.01, y_max=0.01)
         with pytest.raises(InvalidParameterError):
             mpc_constrained_step(RollState(), InputBuffer(nominal_dm.kd), stack, cfg)
+
+
+class TestRunningShift:
+    """The buffer's running history term h = M_shift @ history and the O(1) shift."""
+
+    @staticmethod
+    def stack_for(kd, stiffness=25489.0, damping=3000.0):
+        rp = RollPlantParams(stiffness_K=stiffness, damping_B=damping, input_delay_Td=kd * 0.1)
+        dm = discretize_zoh(continuous_roll_model(rp), Ts=0.1, Td=rp.input_delay_Td)
+        return dm, build_prediction(dm, make_mpc_cfg(Np=5))
+
+    @pytest.mark.parametrize("kd", [0, 1, 10, 1000])
+    @pytest.mark.parametrize("stiffness,damping", [(25489.0, 3000.0), (0.0, 0.0)])
+    def test_running_term_tracks_the_product(self, kd, stiffness, damping, rng):
+        # with K = B = 0 both eigenvalues of A are 1: drift would never decay
+        dm, st = self.stack_for(kd, stiffness, damping)
+        buf = InputBuffer(kd)
+        for cmd in np.clip(rng.normal(0.0, 800.0, 20_000), -1000.0, 1000.0):
+            history = buf.as_array()
+            h = buf.history_term(st)
+            assert all(type(v) is float for v in h)
+            # relative to the magnitude of the sum's terms: a component of h can
+            # cancel to near zero, and its own size is then no scale for rounding
+            scale = np.abs(st.M_shift) @ np.abs(history)
+            assert np.all(np.abs(np.array(h) - st.M_shift @ history) <= 1e-12 * scale)
+            buf.push(float(cmd))
+
+    def test_a_second_stack_gets_its_exact_term(self, nominal_dm, stack, rng):
+        other = build_prediction(nominal_dm, make_mpc_cfg(Np=12))
+        buf = InputBuffer(nominal_dm.kd)
+        for _ in range(5):
+            for cmd in rng.uniform(-1000.0, 1000.0, size=7):
+                buf.push(float(cmd))
+            for st in (stack, other):
+                assert buf.history_term(st) == tuple((st.M_shift @ buf.as_array()).tolist())
+
+    def test_a_non_finite_command_is_held_only_while_buffered(self, nominal_dm, stack, rng):
+        buf = InputBuffer(nominal_dm.kd)
+        buf.history_term(stack)
+        buf.push(float("nan"))
+        for _ in range(nominal_dm.kd):
+            assert np.isnan(buf.history_term(stack)).all()
+            buf.push(float(rng.uniform(-1000.0, 1000.0)))
+        exact = stack.M_shift @ buf.as_array()
+        assert np.all(np.isfinite(exact))
+        assert np.allclose(buf.history_term(stack), exact, rtol=1e-12, atol=0.0)
+
+    def test_shift_matches_the_exact_product(self, nominal_dm, stack, rng):
+        buf = InputBuffer(nominal_dm.kd)
+        for _ in range(200):
+            x = RollState(float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.5, 0.5)))
+            w = float(rng.uniform(-500.0, 500.0))
+            exact = ctrl._shift_from_history(x, buf.as_array() + w, stack)
+            assert np.allclose(ctrl._shifted(x, buf, stack, w), exact, rtol=0.0, atol=1e-14)
+            shifted = shift_state(x, buf, stack)
+            assert np.allclose([shifted.theta, shifted.theta_dot],
+                               ctrl._shift_from_history(x, buf.as_array(), stack),
+                               rtol=0.0, atol=1e-14)
+            buf.push(float(rng.uniform(-1000.0, 1000.0)))
+
+    def test_float_views_equal_their_arrays(self, nominal_dm, stack):
+        def same(floats, *arrays):
+            values = [v for a in arrays for v in a.ravel()]
+            return (len(floats) == len(values) and all(type(f) is float for f in floats)
+                    and all(f == v for f, v in zip(floats, values)))
+
+        m1 = stack.M_shift @ np.ones(nominal_dm.kd)
+        assert same(stack.shift_floats, stack.K_shift, m1)
+        assert same(stack.push_coeffs, nominal_dm.A, nominal_dm.B, stack.K_shift @ nominal_dm.B)
+        assert same(stack.L0, stack.L[0])
+
+    @pytest.mark.parametrize("theta,theta_dot,wind", [
+        (v if i == 0 else 0.01, v if i == 1 else 0.0, v if i == 2 else 5.0)
+        for v in (float("nan"), float("inf"), -float("inf")) for i in range(3)])
+    def test_non_finite_input_reaches_the_solver(self, nominal_dm, stack, monkeypatch,
+                                                 theta, theta_dot, wind):
+        buf = InputBuffer(nominal_dm.kd)
+        for cmd in np.linspace(-300.0, 300.0, 25):
+            buf.push(float(cmd))
+        x = RollState(theta, theta_dot)
+        band = make_mpc_cfg(y_min=-0.01, y_max=0.01)
+        solves = []
+        solve = QpWorkspace.solve
+        monkeypatch.setattr(QpWorkspace, "solve",
+                            lambda ws, *a, **k: solves.append(a) or solve(ws, *a, **k))
+        # the closed form fails the solver's test, and the solver rejects f; numpy
+        # warns of the inf - inf that -L xs meets in some cases
+        for st, cfg in ((stack, make_mpc_cfg()), (build_prediction(nominal_dm, band), band)):
+            with pytest.raises(InvalidParameterError, match="f must be finite"), \
+                    np.errstate(invalid="ignore"):
+                mpc_constrained_step(x, buf, st, cfg, wind_estimate=wind)
+        assert len(solves) == 2
+        # the closed form clips an infinite angle with a finite rate and wind to the
+        # box; every other case gives a command that is not finite, and after the
+        # feed-forward subtraction a NaN
+        u = mpc_unconstrained_step(x, buf, stack, 1000.0, wind_estimate=wind)
+        clipped = math.isinf(theta) and math.isfinite(theta_dot) and math.isfinite(wind)
+        assert math.isfinite(u) == clipped
+        if clipped:
+            assert abs(u - wind) == 1000.0
+        elif math.isinf(wind):
+            assert math.isnan(feedforward_compensate(u, wind, 1000.0))

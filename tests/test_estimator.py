@@ -157,6 +157,24 @@ class TestKalmanGain:
 
 
 class TestObserverStep:
+    def test_gain_floats_equal_its_column(self, nominal_am):
+        gain = place_observer_gain(nominal_am, DESIGN_POLES)
+        assert all(type(f) is float for f in gain.floats)
+        assert list(gain.floats) == gain.L.ravel().tolist()
+
+    def test_step_is_the_matrix_update(self, nominal_am, rng):
+        gain = place_observer_gain(nominal_am, DESIGN_POLES)
+        for _ in range(50):
+            x = rng.normal(scale=[0.05, 0.1, 500.0])
+            y, cmd = float(rng.normal(scale=0.05)), float(rng.normal(scale=500.0))
+            nxt = observer_step(ObserverState(x_hat=x, filtered_tau_w=10.0), y, cmd, gain,
+                                nominal_am, filter_alpha=0.3)
+            expected = (nominal_am.A_aug @ x + nominal_am.B_aug.ravel() * cmd
+                        + gain.L.ravel() * (y - (nominal_am.C_aug @ x)[0]))
+            assert isinstance(nxt.x_hat, np.ndarray) and nxt.x_hat.shape == (3,)
+            assert np.allclose(nxt.x_hat, expected, rtol=1e-15, atol=1e-15)
+            assert nxt.filtered_tau_w == 0.3 * nxt.x_hat[2] + 0.7 * 10.0
+
     def test_exact_state_pure_prediction(self, nominal_am):
         gain = place_observer_gain(nominal_am, DESIGN_POLES)
         x_true = np.array([0.01, -0.02, 300.0])

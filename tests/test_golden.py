@@ -1,7 +1,9 @@
 """Golden-trace gate: the theta and cmd_torque columns of every bundled
 scenario stay within 1e-9 of the CSVs in tests/golden, which
-tests/golden/make_golden.py wrote before the last change of solver or loop."""
+tests/golden/make_golden.py wrote before the last change of solver or loop;
+and the tolerance rule of tests/golden/compare_traces.py --atol."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -24,3 +26,28 @@ def test_trace_matches_golden(name):
     assert got.shape == golden.shape
     err = np.max(np.abs(got - golden), axis=0)
     assert np.all(err <= ATOL), f"{name}: max deviation theta {err[0]:.3e}, cmd_torque {err[1]:.3e}"
+
+
+def _compare_traces():
+    spec = importlib.util.spec_from_file_location("compare_traces",
+                                                  GOLDEN_DIR / "compare_traces.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("theta,status,atol,verdict", [
+    ("0.5", "optimal", None, (True, True)),  # byte-identical
+    ("0.5000000000001", "optimal", None, (False, False)),
+    ("0.5000000000001", "optimal", 1e-9, (False, True)),
+    ("0.50001", "optimal", 1e-9, (False, False)),
+    ("0.5", "infeasible_fallback", 1e9, (False, False)),  # no tolerance covers qp_status
+    ("nan", "optimal", 1e9, (False, False)),  # NaN on one side only
+])
+def test_compare_traces_tolerance(tmp_path, capsys, theta, status, atol, verdict):
+    compare = _compare_traces().compare
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("t,theta,qp_status\n0.0,0.5,optimal\n0.1,0.25,optimal\n")
+    new.write_text(f"t,theta,qp_status\n0.0,{theta},{status}\n0.1,0.25,optimal\n")
+    assert compare("s", old, new, "REV", atol) == verdict
+    assert capsys.readouterr().out.startswith("s: ")

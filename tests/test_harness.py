@@ -7,6 +7,7 @@ import pytest
 
 from crosswind import controllers as ctrl
 from crosswind.cli import main as cli_main
+from crosswind.errors import PlantDivergenceError
 from crosswind.harness import (
     TRACE_HEADER,
     TraceRecord,
@@ -455,3 +456,14 @@ schedule = 1:15
         code = cli_main(["run", str(cfg)])
         assert code == 2
         assert "divergence" in capsys.readouterr().err
+
+    def test_divergence_line_names_step_time_and_angle(self, capsys):
+        # a 1e300 lb weight at t = 2 s throws the wing past 1e3 rad at step 20
+        override = {"weights.schedule": "2:1e300"}
+        with pytest.raises(PlantDivergenceError) as info:
+            run_scenario(load_bundled_scenario("fullplant_weight_step", overrides=override))
+        code = cli_main(["sweep", "fullplant_weight_step", "--param", "weights.schedule",
+                         "--values", "2:1e300"])
+        assert code == 2
+        assert capsys.readouterr().err.rstrip("\n").endswith(
+            f"(step 20, t = 2 s, theta = {info.value.state.theta:g} rad)")

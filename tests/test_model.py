@@ -137,6 +137,14 @@ class TestAugment:
         assert am.B_aug[2, 0] == 0.0
         assert np.array_equal(am.C_aug, np.array([[1.0, 0.0, 0.0]]))
 
+    def test_float_views_equal_their_arrays(self, nominal_dm, nominal_am):
+        for floats, arrays in ((nominal_dm.floats, (nominal_dm.A, nominal_dm.B)),
+                               (nominal_am.floats,
+                                (nominal_am.A_aug, nominal_am.B_aug, nominal_am.C_aug))):
+            values = [v for a in arrays for v in a.ravel()]
+            assert all(type(f) is float for f in floats)
+            assert len(floats) == len(values) and all(f == v for f, v in zip(floats, values))
+
     def test_nominal_observable(self, nominal_am):
         assert check_observability(nominal_am) == 3
 

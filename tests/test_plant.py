@@ -145,6 +145,42 @@ class TestDisturbances:
         assert right.at(1.0) > 0
 
 
+class TestScheduleLookup:
+    @staticmethod
+    def scan(schedule, t):
+        """The lookup as a linear scan of the points in order."""
+        torque = schedule.before
+        for start, value in schedule.points:
+            if t >= start:
+                torque = value
+            else:
+                break
+        return torque
+
+    def test_bisection_matches_the_scan(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(0, 12))
+            times = np.sort(rng.integers(0, 8, size=n) * 0.5 + rng.choice([0.0, 0.03], size=n))
+            sched = TorqueSchedule(tuple(zip(times.tolist(), rng.normal(size=n).tolist())),
+                                   before=float(rng.normal()))
+            queries = np.concatenate([times, times - 1e-9, times + 1e-9,
+                                      rng.uniform(-1.0, 5.0, size=20), [-np.inf, np.inf]])
+            for s in (sched, sched.on_grid(0.1), sched.on_grid(0.25)):
+                for t in queries.tolist() + [float("nan")]:
+                    got, want = s.at(t), self.scan(s, t)
+                    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_last_point_at_a_tied_time_wins(self):
+        sched = TorqueSchedule(((1.0, 5.0), (1.0, 7.0), (2.0, 0.0)), before=-1.0)
+        assert [sched.at(t) for t in (0.5, 1.0, 1.5, 2.0)] == [-1.0, 7.0, 7.0, 0.0]
+
+    @pytest.mark.parametrize("points", [((2.0, 1.0), (1.0, 0.0)), ((float("nan"), 1.0),),
+                                        ((0.0, 1.0), (float("nan"), 0.0))])
+    def test_times_must_be_non_decreasing(self, points):
+        with pytest.raises(InvalidParameterError, match="non-decreasing"):
+            TorqueSchedule(points)
+
+
 class TestInputBuffer:
     def test_fifo_order_with_lag(self):
         buf = InputBuffer(kd=3)
@@ -356,6 +392,25 @@ class TestFullPlant:
         with pytest.raises(PlantDivergenceError, match="roll angle diverged") as info:
             run_scenario(cfg)
         assert info.value.step == 20 and len(info.value.partial_trace) == 21
+
+    def test_blow_up_reports_its_time_and_last_finite_state(self):
+        cfg = load_bundled_scenario("fullplant_weight_step", overrides={
+            "weights.schedule": "2:1e300", "scenario.duration": "3"})
+        with pytest.raises(PlantDivergenceError) as info:
+            run_scenario(cfg)
+        exc = info.value
+        assert exc.step == 20 and exc.t == 20 * cfg.Ts
+        assert isinstance(exc.state, FullPlantState)
+        assert all(map(math.isfinite, vars(exc.state).values()))
+        assert abs(exc.state.theta) > 1e3  # the state that passed the divergence roll
+        assert exc.partial_trace[-1].theta != exc.state.theta
+
+    def test_a_non_finite_step_keeps_the_last_finite_state(self, nominal_params):
+        start = FullPlantState(omega_m1=1e10)
+        sim = FullPlantSimulator(nominal_params, 0.1, state=start)
+        with pytest.raises(PlantDivergenceError, match="non-finite"):
+            sim.apply_command(0.0, 0.0)
+        assert sim.state is start
 
     def test_nan_command_is_divergence(self, nominal_params):
         sim = FullPlantSimulator(nominal_params, 0.1)
