@@ -286,6 +286,10 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
         raise InvalidParameterError("cfg output bounds do not match the stack; "
                                     "build the stack with build_prediction(dm, cfg)")
     xs0, xs1 = _shifted(x, buf, stack, wind_estimate)
+    if not (math.isfinite(xs0) and math.isfinite(xs1)):
+        # an infinite xs would meet inf - inf in the products below, which numpy
+        # warns of; NaN passes through them quietly to the solver, which rejects f
+        xs0 = xs1 = math.nan
     u = stack.L.dot(np.array((-xs0, -xs1)))  # -(L xs) to the bit: negation is exact
     lower, upper = cfg.u_min + wind_estimate, cfg.u_max + wind_estimate
     # the solver's test, slack <= DEFAULT_TOL max(1, |bound|), multiplied out so that

@@ -272,18 +272,13 @@ def torque_to_voltages(tau_cmd: float, mp: MotorParams, rp: RollPlantParams) -> 
     back-emf included). Positive torque spins motor 2, negative motor 1;
     each motor runs in one direction only.
     """
-
-    def steady_voltage(tau_abs: float) -> float:
-        thrust = tau_abs / (rp.wingspan_d / 2.0)
-        omega = math.sqrt(thrust / mp.thrust_coeff_Ktilde)
-        current = (mp.friction_bm * omega + mp.friction_btilde * omega * omega) / mp.torque_const_Km
-        return mp.resistance_Rm * current + mp.torque_const_Km * omega
-
-    if tau_cmd > 0:
-        return 0.0, steady_voltage(tau_cmd)
-    if tau_cmd < 0:
-        return steady_voltage(-tau_cmd), 0.0
-    return 0.0, 0.0
+    if not (tau_cmd > 0 or tau_cmd < 0):  # zero, or NaN
+        return 0.0, 0.0
+    thrust = abs(tau_cmd) / (rp.wingspan_d / 2.0)
+    omega = math.sqrt(thrust / mp.thrust_coeff_Ktilde)
+    current = (mp.friction_bm * omega + mp.friction_btilde * omega * omega) / mp.torque_const_Km
+    voltage = mp.resistance_Rm * current + mp.torque_const_Km * omega
+    return (0.0, voltage) if tau_cmd > 0 else (voltage, 0.0)
 
 
 def _rk4_substeps(y: tuple, n: int, mp: MotorParams, rp: RollPlantParams,
@@ -294,45 +289,68 @@ def _rk4_substeps(y: tuple, n: int, mp: MotorParams, rp: RollPlantParams,
     current_m1, current_m2). Motor speeds are clamped at zero from below
     after every step since each motor runs in one direction only, and a
     non-finite state raises PlantDivergenceError at the step it appears.
+
+    The four stages are written out on local floats. Every operation has
+    the operands and the order of the textbook form (one rates function
+    called at y, y + dt/2 k1, y + dt/2 k2 and y + dt k3), so the result
+    is that form's to the bit: ``tests/test_plant.py::reference_rk4_step``
+    pins it. Within a stage a speed enters the thrust and the quadratic
+    friction clamped at zero, as max(w, 0.0).
     """
-    K, B, J, d = rp.stiffness_K, rp.damping_B, rp.inertia_J, rp.wingspan_d
+    nK, B, J, d = -rp.stiffness_K, rp.damping_B, rp.inertia_J, rp.wingspan_d
     Kt, Jm, Km = mp.thrust_coeff_Ktilde, mp.rotor_inertia_Jm, mp.torque_const_Km
     bm, bt, Rm, Lm = mp.friction_bm, mp.friction_btilde, mp.resistance_Rm, mp.inductance_Lm
     V1, V2 = voltages
-    half, sixth, isfinite = 0.5 * dt, dt / 6.0, math.isfinite
-
-    def rates(theta, theta_dot, w1, w2, i1, i2):
-        # exactly max(w, 0.0) here: w1c, w2c enter only squared, where -0.0 and
-        # 0.0 agree, and a NaN w still reaches the rates through the w terms
-        w1c = w1 if w1 > 0.0 else 0.0
-        w2c = w2 if w2 > 0.0 else 0.0
-        F1 = Kt * w1c * w1c
-        F2 = Kt * w2c * w2c
-        tau_m = (F2 - F1) * d / 2.0
-        return (theta_dot,
-                (-K * theta - B * theta_dot + tau_m + tau_w) / J,
-                (Km * i1 - bm * w1 - bt * w1c * w1c) / Jm,
-                (Km * i2 - bm * w2 - bt * w2c * w2c) / Jm,
-                (V1 - Rm * i1 - Km * w1) / Lm,
-                (V2 - Rm * i2 - Km * w2) / Lm)
-
+    half, sixth = 0.5 * dt, dt / 6.0
     th, thd, w1, w2, i1, i2 = y
     for _ in range(n):
-        a0, a1, a2, a3, a4, a5 = rates(th, thd, w1, w2, i1, i2)
-        b0, b1, b2, b3, b4, b5 = rates(th + half * a0, thd + half * a1, w1 + half * a2,
-                                       w2 + half * a3, i1 + half * a4, i2 + half * a5)
-        c0, c1, c2, c3, c4, c5 = rates(th + half * b0, thd + half * b1, w1 + half * b2,
-                                       w2 + half * b3, i1 + half * b4, i2 + half * b5)
-        d0, d1, d2, d3, d4, d5 = rates(th + dt * c0, thd + dt * c1, w1 + dt * c2,
-                                       w2 + dt * c3, i1 + dt * c4, i2 + dt * c5)
-        th = th + sixth * (a0 + 2 * b0 + 2 * c0 + d0)
-        thd = thd + sixth * (a1 + 2 * b1 + 2 * c1 + d1)
-        w1 = max(w1 + sixth * (a2 + 2 * b2 + 2 * c2 + d2), 0.0)
-        w2 = max(w2 + sixth * (a3 + 2 * b3 + 2 * c3 + d3), 0.0)
-        i1 = i1 + sixth * (a4 + 2 * b4 + 2 * c4 + d4)
-        i2 = i2 + sixth * (a5 + 2 * b5 + 2 * c5 + d5)
-        if not (isfinite(th) and isfinite(thd) and isfinite(w1) and isfinite(w2)
-                and isfinite(i1) and isfinite(i2)):
+        # k1 = (thd, a1, ..., a5) at y
+        w1c = 0.0 if w1 < 0.0 else w1
+        w2c = 0.0 if w2 < 0.0 else w2
+        a1 = (nK * th - B * thd + (Kt * w2c * w2c - Kt * w1c * w1c) * d / 2.0 + tau_w) / J
+        a2 = (Km * i1 - bm * w1 - bt * w1c * w1c) / Jm
+        a3 = (Km * i2 - bm * w2 - bt * w2c * w2c) / Jm
+        a4 = (V1 - Rm * i1 - Km * w1) / Lm
+        a5 = (V2 - Rm * i2 - Km * w2) / Lm
+        # k2 = (b0, ..., b5) at y + dt/2 k1
+        s0, b0 = th + half * thd, thd + half * a1
+        s2, s3 = w1 + half * a2, w2 + half * a3
+        s4, s5 = i1 + half * a4, i2 + half * a5
+        w1c = 0.0 if s2 < 0.0 else s2
+        w2c = 0.0 if s3 < 0.0 else s3
+        b1 = (nK * s0 - B * b0 + (Kt * w2c * w2c - Kt * w1c * w1c) * d / 2.0 + tau_w) / J
+        b2 = (Km * s4 - bm * s2 - bt * w1c * w1c) / Jm
+        b3 = (Km * s5 - bm * s3 - bt * w2c * w2c) / Jm
+        b4 = (V1 - Rm * s4 - Km * s2) / Lm
+        b5 = (V2 - Rm * s5 - Km * s3) / Lm
+        # k3 = (c0, ..., c5) at y + dt/2 k2
+        s0, c0 = th + half * b0, thd + half * b1
+        s2, s3 = w1 + half * b2, w2 + half * b3
+        s4, s5 = i1 + half * b4, i2 + half * b5
+        w1c = 0.0 if s2 < 0.0 else s2
+        w2c = 0.0 if s3 < 0.0 else s3
+        c1 = (nK * s0 - B * c0 + (Kt * w2c * w2c - Kt * w1c * w1c) * d / 2.0 + tau_w) / J
+        c2 = (Km * s4 - bm * s2 - bt * w1c * w1c) / Jm
+        c3 = (Km * s5 - bm * s3 - bt * w2c * w2c) / Jm
+        c4 = (V1 - Rm * s4 - Km * s2) / Lm
+        c5 = (V2 - Rm * s5 - Km * s3) / Lm
+        # k4 at y + dt k3, its rates written into y + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+        s0, d0 = th + dt * c0, thd + dt * c1
+        s2, s3 = w1 + dt * c2, w2 + dt * c3
+        s4, s5 = i1 + dt * c4, i2 + dt * c5
+        w1c = 0.0 if s2 < 0.0 else s2
+        w2c = 0.0 if s3 < 0.0 else s3
+        th = th + sixth * (thd + 2.0 * b0 + 2.0 * c0 + d0)
+        thd = thd + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + (
+            nK * s0 - B * d0 + (Kt * w2c * w2c - Kt * w1c * w1c) * d / 2.0 + tau_w) / J)
+        w1 = w1 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + (Km * s4 - bm * s2 - bt * w1c * w1c) / Jm)
+        w2 = w2 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + (Km * s5 - bm * s3 - bt * w2c * w2c) / Jm)
+        i1 = i1 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + (V1 - Rm * s4 - Km * s2) / Lm)
+        i2 = i2 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + (V2 - Rm * s5 - Km * s3) / Lm)
+        w1 = 0.0 if w1 < 0.0 else w1  # max(w1, 0.0): -inf becomes 0.0, NaN stays
+        w2 = 0.0 if w2 < 0.0 else w2
+        # x * 0.0 is a signed zero for a finite x and NaN otherwise, and NaN propagates
+        if th * 0.0 + thd * 0.0 + w1 * 0.0 + w2 * 0.0 + i1 * 0.0 + i2 * 0.0 != 0.0:
             raise PlantDivergenceError("full plant state became non-finite")
     return th, thd, w1, w2, i1, i2
 

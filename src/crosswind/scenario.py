@@ -277,9 +277,10 @@ def _validate(cfg: ScenarioConfig) -> None:
         problems.append(f"scenario.duration must span 1 to {MAX_STEPS} scenario.ts steps")
     if not 0 <= cfg.noise_std <= MAX_ROLL:  # NaN fails too
         problems.append(f"scenario.noise_std must be in [0, {MAX_ROLL:g}] rad")
-    for key in ("initial_theta", "initial_theta_dot"):
-        if not math.isfinite(getattr(cfg, key)):
-            problems.append(f"scenario.{key} must be finite")
+    if not abs(cfg.initial_theta) <= MAX_ROLL:  # NaN fails too; further out is divergence
+        problems.append(f"scenario.initial_theta must be in [-{MAX_ROLL:g}, {MAX_ROLL:g}] rad")
+    if not math.isfinite(cfg.initial_theta_dot):
+        problems.append("scenario.initial_theta_dot must be finite")
     if cfg.rng_seed < 0:
         problems.append("scenario.rng_seed must be >= 0")
     if cfg.feedforward and cfg.estimator_kind == "none":

@@ -505,3 +505,19 @@ class TestRunningShift:
             assert abs(u - wind) == 1000.0
         elif math.isinf(wind):
             assert math.isnan(feedforward_compensate(u, wind, 1000.0))
+
+    @pytest.mark.parametrize("theta,theta_dot,wind", [
+        (v if i == 0 else 0.01, v if i == 1 else 0.0, v if i == 2 else 5.0)
+        for v in (float("nan"), float("inf"), -float("inf")) for i in range(3)])
+    def test_non_finite_input_raises_without_a_warning(self, nominal_dm, stack,
+                                                       theta, theta_dot, wind):
+        # no np.errstate here: the suite turns a RuntimeWarning into an error, and an
+        # infinite state used to warn of inf - inf in -L xs before the solver raised
+        buf = InputBuffer(nominal_dm.kd)
+        for cmd in np.linspace(-300.0, 300.0, 25):
+            buf.push(float(cmd))
+        band = make_mpc_cfg(y_min=-0.01, y_max=0.01)
+        for st, cfg in ((stack, make_mpc_cfg()), (build_prediction(nominal_dm, band), band)):
+            with pytest.raises(InvalidParameterError, match="f must be finite"):
+                mpc_constrained_step(RollState(theta, theta_dot), buf, st, cfg,
+                                     wind_estimate=wind)

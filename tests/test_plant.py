@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosswind.errors import InvalidParameterError, PlantDivergenceError
 from crosswind.harness import run_scenario
@@ -15,6 +17,7 @@ from crosswind.plant import (
     SimplifiedPlantSimulator,
     TorqueSchedule,
     WindTorqueMap,
+    _rk4_substeps,
     measure_roll,
     saturate,
     step_full_plant,
@@ -280,6 +283,55 @@ def reference_rk4_step(s, mp, rp, voltages, tau_w, dt):
     y1 = [y + dt / 6.0 * (a + 2 * b + 2 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
     y1[2], y1[3] = max(y1[2], 0.0), max(y1[3], 0.0)
     return FullPlantState(*y1)
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def kernel_cases(draw):
+    """A state, voltages, wind torque, substep and substep count for the RK4 kernel.
+
+    Motor speeds include -0.0, negative values and speeds whose quadratic
+    friction overflows within the interval; currents run both ways and the
+    roll rate can be large. The command is of either sign or exactly zero,
+    and tau_w is any float, infinite and NaN included.
+    """
+    speed = SIGNED_ZERO | st.floats(-1e3, 1e4) | st.floats(1e8, 1e12)
+    current = SIGNED_ZERO | st.floats(-1e4, 1e4)
+    y = (draw(st.floats(-1e3, 1e3)), draw(SIGNED_ZERO | st.floats(-1e7, 1e7)),
+         draw(speed), draw(speed), draw(current), draw(current))
+    cmd = draw(SIGNED_ZERO | st.floats(-5e3, 5e3))
+    tau_w = draw(st.floats())
+    return (y, torque_to_voltages(cmd, MotorParams(), RollPlantParams()), tau_w,
+            draw(st.floats(0.0, 1e-3, exclude_min=True)), draw(st.integers(1, 200)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kernel_cases())
+def test_kernel_is_the_chained_textbook_step(case):
+    """n substeps of the kernel are n chained reference steps, to the bit.
+
+    Where the chain becomes non-finite at substep j, the kernel runs j - 1
+    substeps and raises on the j-th.
+    """
+    y, voltages, tau_w, dt, n = case
+    mp, rp = MotorParams(), RollPlantParams()
+
+    def bits(values):
+        return tuple(v.hex() for v in values)
+
+    prev, ref = y, FullPlantState(*y)
+    for j in range(1, n + 1):
+        ref = reference_rk4_step(ref, mp, rp, voltages, tau_w, dt)
+        ys = tuple(vars(ref).values())
+        if not all(map(math.isfinite, ys)):
+            assert bits(_rk4_substeps(y, j - 1, mp, rp, voltages, tau_w, dt)) == bits(prev)
+            with pytest.raises(PlantDivergenceError, match="non-finite"):
+                _rk4_substeps(y, j, mp, rp, voltages, tau_w, dt)
+            return
+        prev = ys
+    assert bits(_rk4_substeps(y, n, mp, rp, voltages, tau_w, dt)) == bits(prev)
 
 
 class TestFullPlant:

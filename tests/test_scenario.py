@@ -184,6 +184,8 @@ schedule = 5:10
         ("scenario.noise_std", "nan"),
         ("scenario.noise_std", "1e200"),  # overflowed inside the MPC with no key
         ("scenario.initial_theta", "nan"),
+        ("scenario.initial_theta", "2000"),  # was reported as divergence at step 0
+        ("scenario.initial_theta", "inf"),
         ("scenario.initial_theta_dot", "nan"),
         ("scenario.rng_seed", "-1"),
         ("mpc.output_min", "-0.01"),  # without mpc.output_max
@@ -228,6 +230,7 @@ schedule = 5:10
 
     @pytest.mark.parametrize("key,value", [
         ("weights.schedule", "-5:15"),  # counted 5 s never simulated in the settling time
+        ("scenario.initial_theta", "-2000"),  # was reported as divergence at step 0
         ("mpc.horizon", "1000000000000"),  # a MemoryError from the weight arrays
         ("pid.derivative_window", "1000000000000"),  # a MemoryError from the PID history
     ])
@@ -236,6 +239,14 @@ schedule = 5:10
             load_bundled_scenario("fullplant_weight_step", overrides={key: value})
         code = cli_main(["sweep", "fullplant_weight_step", "--param", key, f"--values={value}"])
         assert code == 1 and key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["fig8_mpc_weight_step", "fullplant_weight_step"])
+    def test_initial_roll_past_the_divergence_bound_exits_1(self, name, capsys):
+        # 2000 rad was reported as plant divergence at step 0 (exit 2); 999 is a run
+        argv = ["sweep", name, "--param", "scenario.initial_theta", "--values"]
+        assert cli_main(argv + ["2000"]) == 1
+        assert "scenario.initial_theta" in capsys.readouterr().err
+        assert cli_main(argv + ["999"]) == 0
 
     def test_more_steps_than_the_cap_are_rejected(self, tmp_path, capsys):
         # 7e10 steps of 1 ns with no delay: the run did not end
