@@ -24,8 +24,8 @@ from .plant import InputBuffer, RollState, saturate
 # QpProblem and solve_qp stay importable from here for existing callers
 from .qpsolve import DEFAULT_TOL, QpProblem, QpWorkspace, solve_qp  # noqa: F401
 
-# the largest PID derivative window and MPC horizon: a step's work grows with
-# both, the MPC's memory with the horizon squared (at 1000 a run peaks near 120 MB)
+# the largest PID derivative window and MPC horizon: only an MPC step's work grows with
+# its bound, and its memory with the horizon squared (at 1000 a run peaks near 120 MB)
 MAX_DERIVATIVE_WINDOW = 1000
 MAX_HORIZON = 1000
 
@@ -77,8 +77,9 @@ def pid_step(ps: PidState, theta_meas: float, cfg: PidConfig, torque_limit: floa
     The measurement is low-pass filtered, the error is e = -theta_f, the
     integral is clamped so Ki*I never exceeds the actuation limit
     (anti-windup), and the derivative is the mean of the last
-    ``derivative_window`` backward differences. Startup history is
-    zero-filled, so early derivatives treat missing errors as zero.
+    ``derivative_window`` backward differences, which telescopes to
+    (e_k - e_(k-window)) / Ts / window. Startup history is zero-filled,
+    so early derivatives treat missing errors as zero.
     """
     ps.filtered_theta = lowpass(ps.filtered_theta, theta_meas, cfg.meas_filter_alpha)
     e = -ps.filtered_theta
@@ -86,10 +87,9 @@ def pid_step(ps: PidState, theta_meas: float, cfg: PidConfig, torque_limit: floa
     if cfg.Ki != 0.0:
         bound = torque_limit / abs(cfg.Ki)
         ps.integral_I = min(max(ps.integral_I, -bound), bound)
-    ps.error_history.append(e)
-    hist = ps.error_history
-    diffs = [(hist[-1 - i] - hist[-2 - i]) / cfg.Ts for i in range(cfg.derivative_window)]
-    delta_e = sum(diffs) / cfg.derivative_window
+    hist = ps.error_history  # the last derivative_window + 1 errors
+    hist.append(e)
+    delta_e = (hist[-1] - hist[0]) / cfg.Ts / cfg.derivative_window
     co = cfg.Kp * e + cfg.Ki * ps.integral_I + cfg.Kd * delta_e
     return saturate(co, torque_limit)
 

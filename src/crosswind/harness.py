@@ -68,12 +68,16 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     the loop. QP infeasibility falls back to the saturated closed-form
     law and flags the record; plant divergence raises
     PlantDivergenceError carrying the step, its time, the partial trace
-    and the last finite plant state. An observer or MPC
-    design that fails is a ScenarioError naming its section.
+    and the last finite plant state. A roll model, observer or MPC design
+    that fails is a ScenarioError naming its keys or section.
     """
     rp = cfg.plant_params
     limit = rp.torque_limit
-    dm = discretize_zoh(continuous_roll_model(rp), cfg.Ts, rp.input_delay_Td)
+    try:
+        dm = discretize_zoh(continuous_roll_model(rp), cfg.Ts, rp.input_delay_Td)
+    except CrosswindError as exc:  # a parsed delay and Ts pass; A_c may overflow
+        raise ScenarioError("plant_params.inertia, plant_params.stiffness, plant_params.damping: "
+                            f"{exc}") from None
     buffer = InputBuffer(dm.kd)
     observer, observe = _observer(cfg, augment(dm))
     control = _controller(cfg, dm, buffer)

@@ -135,6 +135,8 @@ def expm_small(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     norm = np.linalg.norm(M, np.inf)
+    if not np.isfinite(norm):  # a non-finite M has no finite exponential to scale to
+        return np.full((n, n), np.nan)
     # scale so the series argument has norm <= 0.5
     s = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
     Ms = M / (2.0**s)
@@ -168,7 +170,7 @@ def discretize_zoh(cm: ContinuousModel, Ts: float, Td: float) -> DiscreteModel:
     Uses the augmented-exponential construction: exp([[A, B], [0, 0]] * Ts)
     yields the discrete A in the top-left block and B = integral of
     exp(A*sigma)*B_c in the top-right. The delay Td must be an integer
-    multiple of Ts; fractional delays are rejected.
+    multiple of Ts; fractional delays and a non-finite A or B are rejected.
     """
     if not Ts > 0:
         raise InvalidParameterError(f"Ts must be > 0, got {Ts}")
@@ -178,7 +180,11 @@ def discretize_zoh(cm: ContinuousModel, Ts: float, Td: float) -> DiscreteModel:
     Maug = np.zeros((n + m, n + m))
     Maug[:n, :n] = cm.A_c
     Maug[:n, n:] = cm.B_c
-    E = expm_small(Maug * Ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E is rejected below
+        E = expm_small(Maug * Ts)
+    if not np.isfinite(E).all():
+        raise InvalidParameterError(
+            f"exp(A_c Ts) is not finite: Ts = {Ts}, A_c = {cm.A_c.tolist()}")
     return DiscreteModel(A=E[:n, :n], B=E[:n, n:], Ts=Ts, kd=kd)
 
 

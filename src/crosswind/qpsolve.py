@@ -53,6 +53,41 @@ def _check_hessian(H: np.ndarray, n: int) -> None:
         raise InvalidParameterError("H must be positive definite") from None
 
 
+def _row_matrix(rows, n: int) -> np.ndarray:
+    """``rows`` as an (m, n) float matrix; no rows (None) is the (0, n) matrix."""
+    if rows is None:
+        return np.zeros((0, n))
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise InvalidParameterError(f"rows must be a matrix with {n} columns, got {rows.shape}")
+    return rows
+
+
+def _bounds(n: int, rows, lower, upper, row_lower, row_upper) -> tuple:
+    """The bounds as float vectors, then gamma = (upper, -lower, row_upper, -row_lower).
+
+    Row bounds are given exactly when ``rows`` is not None (else they are
+    empty), one per row; each lower <= upper, which NaN fails; and
+    min(gamma) > -inf: no lower bound is +inf and no upper bound -inf, so
+    none rules out every value. A +inf in gamma is then the only
+    constraint a solve may drop.
+    """
+    given = rows is not None
+    if (row_lower is not None, row_upper is not None) != (given, given):
+        raise InvalidParameterError("row bounds must be given exactly when there are rows")
+    lower, upper, rl, ru = (np.asarray(() if b is None else b, dtype=float).ravel()
+                            for b in (lower, upper, row_lower, row_upper))
+    m = rows.shape[0] if given else 0
+    if lower.shape != (n,) or upper.shape != (n,) or rl.shape != (m,) or ru.shape != (m,):
+        raise InvalidParameterError(f"need {n} box bounds and {m} row bounds on each side")
+    if not ((lower <= upper).all() and (rl <= ru).all()):
+        raise InvalidParameterError("bounds must satisfy lower <= upper, and not be NaN")
+    gamma = np.concatenate((upper, -lower, ru, -rl))
+    if not gamma.min() > -math.inf:
+        raise InvalidParameterError("no lower bound may be +inf and no upper bound -inf")
+    return lower, upper, rl, ru, gamma
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """min u'Hu + f'u  s.t.  lower <= u <= upper, row_lower <= rows @ u <= row_upper."""
@@ -70,27 +105,14 @@ class QpProblem:
         f = np.asarray(self.f, dtype=float).ravel()
         n = f.size
         _check_hessian(H, n)
-        lower = np.asarray(self.lower, dtype=float).ravel()
-        upper = np.asarray(self.upper, dtype=float).ravel()
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise InvalidParameterError("box bounds must match the size of f")
-        if np.any(lower > upper):
-            raise InvalidParameterError("box bounds must satisfy lower <= upper")
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if self.rows is not None:
-            rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-            rl = np.asarray(self.row_lower, dtype=float).ravel()
-            ru = np.asarray(self.row_upper, dtype=float).ravel()
-            if rows.shape[1] != n or rl.shape != (rows.shape[0],) or ru.shape != (rows.shape[0],):
-                raise InvalidParameterError("row constraints have inconsistent shapes")
-            if np.any(rl > ru):
-                raise InvalidParameterError("row bounds must satisfy row_lower <= row_upper")
-            object.__setattr__(self, "rows", rows)
-            object.__setattr__(self, "row_lower", rl)
-            object.__setattr__(self, "row_upper", ru)
+        rows = None if self.rows is None else _row_matrix(self.rows, n)
+        lower, upper, rl, ru, _ = _bounds(n, rows, self.lower, self.upper, self.row_lower,
+                                          self.row_upper)
+        if rows is None:
+            rl = ru = None  # no rows is zero rows only inside the solver
+        for name, value in zip(("H", "f", "rows", "lower", "upper", "row_lower", "row_upper"),
+                               (H, f, rows, lower, upper, rl, ru)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -118,23 +140,16 @@ class QpSolution:
 
 
 def constraint_stack(p: QpProblem):
-    """All constraints as one-sided rows M u <= gamma.
+    """All constraints as one-sided rows M u <= gamma; returns (M, gamma).
 
-    Order: upper box, lower box (negated), then row upper / row lower if
-    present. Rows with non-finite bounds are kept but masked out by an
-    ``active-allowed`` flag so multiplier indices stay aligned.
+    Order: upper box, lower box (negated), row upper, row lower (negated);
+    no rows is zero rows. A +inf entry of gamma is a constraint that is
+    not there; its row is kept so multiplier indices stay aligned.
     """
-    n = p.n
-    I = np.eye(n)
-    blocks = [I, -I]
-    bounds = [p.upper, -p.lower]
-    if p.rows is not None:
-        blocks.extend([p.rows, -p.rows])
-        bounds.extend([p.row_upper, -p.row_lower])
-    M = np.vstack(blocks)
-    gamma = np.concatenate(bounds)
-    usable = np.isfinite(gamma) & (np.abs(M).max(axis=1) > 0.0)
-    return M, gamma, usable
+    I = np.eye(p.n)
+    R = _row_matrix(p.rows, p.n)
+    *_, gamma = _bounds(p.n, p.rows, p.lower, p.upper, p.row_lower, p.row_upper)
+    return np.vstack([I, -I, R, -R]), gamma
 
 
 def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
@@ -146,9 +161,10 @@ def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float).ravel()
     lam = np.asarray(multipliers, dtype=float).ravel()
-    M, gamma, usable = constraint_stack(p)
+    M, gamma = constraint_stack(p)
     if lam.shape != gamma.shape:
         raise InvalidParameterError(f"expected {gamma.size} multipliers, got {lam.size}")
+    usable = gamma < np.inf
     gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out below
     grad = 2.0 * p.H @ u + p.f
     stat_raw = grad + M.T @ lam
@@ -179,27 +195,21 @@ class QpWorkspace:
         H = np.asarray(H, dtype=float)
         n = H.shape[0] if H.ndim else 0
         _check_hessian(H, n)
-        N = np.eye(n)
-        if rows is not None:
-            rows = np.atleast_2d(np.asarray(rows, dtype=float))
-            if rows.shape[1] != n:
-                raise InvalidParameterError(f"rows must have {n} columns, got {rows.shape[1]}")
-            N = np.vstack([N, rows])
         self.H = H
-        self.rows = rows
+        self._rows = _row_matrix(rows, n)
+        self.rows = None if rows is None else self._rows
         self.n = n
         self.H2_inv = np.linalg.inv(2.0 * H)
         self.H2_inv.setflags(write=False)
         # row k of _WT / _PT: column k of W = inv(2H) N' / of P = N W
+        N = np.vstack([np.eye(n), self._rows])
         W = self.H2_inv @ N.T
         self._PT = np.ascontiguousarray((N @ W).T)
         self._WT = np.ascontiguousarray(W.T)
         # stacked constraint k is sign[k] times row base[k] of N
         k = np.arange(N.shape[0])
         self._base = np.concatenate([k[:n], k[:n], k[n:], k[n:]])
-        self._sign = np.concatenate([np.ones(n), -np.ones(n), np.ones(k.size - n),
-                                     -np.ones(k.size - n)])
-        self._nonzero = (np.abs(N).max(axis=1) > 0.0)[self._base]
+        self._sign = np.repeat([1.0, -1.0, 1.0, -1.0], [n, n, k.size - n, k.size - n])
 
     def solve(self, f, lower, upper, row_lower=None, row_upper=None,
               tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
@@ -210,30 +220,13 @@ class QpWorkspace:
         """
         n = self.n
         f = np.asarray(f, dtype=float).ravel()
-        lower = np.asarray(lower, dtype=float).ravel()
-        upper = np.asarray(upper, dtype=float).ravel()
-        if f.shape != (n,) or lower.shape != (n,) or upper.shape != (n,):
-            raise InvalidParameterError(f"f and box bounds must have length {n}")
-        if (lower > upper).any():
-            raise InvalidParameterError("box bounds must satisfy lower <= upper")
-        bounds = [upper, -lower]
-        if self.rows is not None:
-            if row_lower is None or row_upper is None:
-                raise InvalidParameterError("this workspace has rows; row bounds are required")
-            rl = np.asarray(row_lower, dtype=float).ravel()
-            ru = np.asarray(row_upper, dtype=float).ravel()
-            if rl.shape != (self.rows.shape[0],) or ru.shape != rl.shape:
-                raise InvalidParameterError("row bounds must have one entry per row")
-            if (rl > ru).any():
-                raise InvalidParameterError("row bounds must satisfy row_lower <= row_upper")
-            bounds.extend([ru, -rl])
-        elif row_lower is not None or row_upper is not None:
-            raise InvalidParameterError("this workspace has no rows; row bounds must be None")
-        gamma = np.concatenate(bounds)
+        if f.shape != (n,):
+            raise InvalidParameterError(f"f must have length {n}")
         u = self.H2_inv @ -f  # -(H2_inv @ f) would turn an exact +0 into -0
         if not np.isfinite(u).all():
             raise InvalidParameterError("f must be finite, and so must -inv(2H) f")
-        usable = np.isfinite(gamma) & self._nonzero  # non-finite bounds and zero rows
+        *_, gamma = _bounds(n, self.rows, lower, upper, row_lower, row_upper)
+        usable = gamma < np.inf  # a +inf bound is the one constraint a solve drops
         gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
         scale = np.maximum(1.0, np.abs(gamma))
         mask = np.where(usable, 0.0, -np.inf)
@@ -251,20 +244,15 @@ class QpWorkspace:
 
     def _slack(self, u, gamma):
         """M u - gamma for the stacked constraints, box rows taken on u directly."""
-        if self.rows is None:
-            return np.concatenate((u, -u)) - gamma
-        y = self.rows @ u
+        y = self._rows @ u
         return np.concatenate((u, -u, y, -y)) - gamma
 
     def _kkt_residual(self, u, f, lam, slack, scale, viol_max):
         """``check_kkt`` evaluated on the cached data (equal up to rounding)."""
-        n = self.n
+        n, r = self.n, self._rows.shape[0]
         grad = 2.0 * (self.H @ u) + f  # the bits of (2H) u + f: doubling is exact
         primal = max(0.0, viol_max)
-        M_lam = lam[:n] - lam[n:2 * n]
-        if self.rows is not None:
-            r = self.rows.shape[0]
-            M_lam = M_lam + self.rows.T @ (lam[2 * n:2 * n + r] - lam[2 * n + r:])
+        M_lam = lam[:n] - lam[n:2 * n] + self._rows.T @ (lam[2 * n:2 * n + r] - lam[2 * n + r:])
         stationarity = np.abs(grad + M_lam).max() / max(
             1.0, np.abs(grad).max(), np.abs(M_lam).max())
         dual = max(0.0, -lam.min())
@@ -284,7 +272,6 @@ class QpWorkspace:
         can be active. Returns (u, multipliers, iterations, status).
         """
         n, base, sign, PT, WT, H = self.n, self._base, self._sign, self._PT, self._WT, self.H
-        rows = self.rows
         act = np.zeros(n, dtype=np.intp)
         base_A = np.zeros(n, dtype=np.intp)
         sign_A = np.zeros(n)
@@ -296,7 +283,7 @@ class QpWorkspace:
         iterations, status = 0, "optimal"
         while status == "optimal":
             if a:  # undo the drift of the step updates: active constraints back on equality
-                Nu = np.concatenate((u, rows @ u)) if on_rows else u
+                Nu = np.concatenate((u, self._rows @ u)) if on_rows else u
                 d_lam = S_inv[:a, :a] @ (sign_A[:a] * Nu[base_A[:a]] - gamma_A[:a])
                 lam_A[:a] += d_lam
                 u = u - d_lam @ JT[:a]

@@ -61,6 +61,19 @@ class TestPid:
         assert i_term == pytest.approx(1.2)
         assert cmd == pytest.approx(p_term + i_term + d_term)
 
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_derivative_is_the_mean_backward_difference(self, rng, window):
+        # with only the D term, the command is the mean of the window's last
+        # backward differences of e, the startup history counting as zeros
+        cfg = PidConfig(Kp=0.0, Ki=0.0, Kd=1.0, derivative_window=window, meas_filter_alpha=1.0)
+        ps = PidState.fresh(cfg)
+        errors = [0.0] * window
+        for theta in rng.normal(scale=0.05, size=20):
+            errors.append(-theta)
+            diffs = [(errors[-1 - i] - errors[-2 - i]) / cfg.Ts for i in range(window)]
+            assert pid_step(ps, theta, cfg, 1e9) == pytest.approx(sum(diffs) / window,
+                                                                  rel=1e-12, abs=1e-15)
+
     def test_integral_clamped_at_limit(self):
         cfg = PidConfig(meas_filter_alpha=1.0)
         ps = PidState.fresh(cfg)
@@ -488,11 +501,9 @@ class TestRunningShift:
         solve = QpWorkspace.solve
         monkeypatch.setattr(QpWorkspace, "solve",
                             lambda ws, *a, **k: solves.append(a) or solve(ws, *a, **k))
-        # the closed form fails the solver's test, and the solver rejects f; numpy
-        # warns of the inf - inf that -L xs meets in some cases
+        # the closed form fails the solver's test, and the solver rejects f
         for st, cfg in ((stack, make_mpc_cfg()), (build_prediction(nominal_dm, band), band)):
-            with pytest.raises(InvalidParameterError, match="f must be finite"), \
-                    np.errstate(invalid="ignore"):
+            with pytest.raises(InvalidParameterError, match="f must be finite"):
                 mpc_constrained_step(x, buf, st, cfg, wind_estimate=wind)
         assert len(solves) == 2
         # the closed form clips an infinite angle with a finite rate and wind to the

@@ -126,6 +126,13 @@ class TestDiscretizeZoh:
         with pytest.raises(InvalidParameterError):
             discretize_zoh(nominal_cm, Ts=0.0, Td=0.0)
 
+    @pytest.mark.parametrize("params", [RollPlantParams(stiffness_K=1e40),
+                                        RollPlantParams(inertia_J=1e-320)])
+    def test_non_finite_discretization_rejected(self, params):
+        # an overflowing exponential, and an infinite A_c, without a RuntimeWarning
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            discretize_zoh(continuous_roll_model(params), Ts=0.1, Td=1.0)
+
 
 class TestAugment:
     def test_block_structure(self, nominal_dm, nominal_am):

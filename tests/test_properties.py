@@ -15,7 +15,8 @@ def small_qps(draw):
     """A QP with n <= 6, a well-conditioned H, mixed box bounds and 0-4 row bands.
 
     The row bands are drawn independently of the box, so some cannot be
-    met inside it and the QP is infeasible.
+    met inside it and the QP is infeasible. Some rows are zero rows, whose
+    band holds for every u when it contains 0 and for none otherwise.
     """
     n = draw(st.integers(1, 6))
 
@@ -35,6 +36,7 @@ def small_qps(draw):
     if m == 0:
         return QpProblem(H=H, f=f, lower=lower, upper=upper)
     rows = floats(m * n, -1.0, 1.0).reshape(m, n)
+    rows[draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0.0
     row_centre, row_width = floats(m, -6.0, 6.0), floats(m, 0.0, 2.0)
     open_below, open_above = (np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
                               for _ in range(2))
@@ -59,10 +61,12 @@ def lp_feasible(p: QpProblem) -> bool:
 @settings(derandomize=True, database=None, deadline=None)
 @given(small_qps())
 def test_qp_status_is_certified(p):
-    """Every optimal solve passes check_kkt, every infeasible one is LP-infeasible."""
+    """Every optimal solve passes check_kkt on an LP-feasible QP, every infeasible
+    one is LP-infeasible. Some drawn rows are zero rows, which are constraints too."""
     sol = solve_qp(p)
     assert sol.status in ("optimal", "infeasible")  # never max_iters at the default cap
     if sol.status == "optimal":
         assert check_kkt(p, sol.u_star, sol.multipliers) <= DEFAULT_TOL
+        assert lp_feasible(p)
     else:
         assert not lp_feasible(p)

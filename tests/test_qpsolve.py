@@ -230,6 +230,41 @@ class TestValidation:
             ws.solve(np.array([np.nan, 0.0]), np.full(2, -1.0), np.full(2, 1.0),
                      np.array([-1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bounds", [
+        {"lower": [np.inf], "upper": [np.inf]},
+        {"lower": [-np.inf], "upper": [-np.inf]},
+        {"lower": [np.nan]},
+        {"rows": [[1.0]], "row_lower": [np.inf], "row_upper": [np.inf]},
+        {"rows": [[1.0]], "row_lower": [np.nan], "row_upper": [1.0]},
+    ])
+    def test_bounds_that_admit_no_value_rejected(self, bounds):
+        # each was dropped, and the solve reported optimal with check_kkt 0.0
+        qp = {"lower": [-1.0], "upper": [1.0], "rows": None, "row_lower": None,
+              "row_upper": None, **bounds}
+        with pytest.raises(InvalidParameterError):
+            QpProblem(H=np.eye(1), f=np.zeros(1), **qp)
+        ws = QpWorkspace(np.eye(1), rows=qp["rows"])
+        with pytest.raises(InvalidParameterError):
+            ws.solve(np.zeros(1), qp["lower"], qp["upper"], qp["row_lower"], qp["row_upper"])
+
+    def test_violated_zero_row_is_infeasible(self):
+        # 0 u in [1, 2] was dropped as a zero row, and the solve reported optimal
+        p = QpProblem(H=np.eye(1), f=np.zeros(1), lower=[-1.0], upper=[1.0],
+                      rows=[[0.0]], row_lower=[1.0], row_upper=[2.0])
+        sol = solve_qp(p)
+        assert sol.status == "infeasible"
+        assert check_kkt(p, sol.u_star, sol.multipliers) > 1e-8
+
+    def test_half_open_bounds_solve(self):
+        # only the row's upper bound is finite: u is (2, 0) projected on u0 + u1 <= 1
+        p = QpProblem(H=np.eye(2), f=[-4.0, 0.0], lower=np.full(2, -np.inf),
+                      upper=np.full(2, np.inf), rows=[[1.0, 1.0]], row_lower=[-np.inf],
+                      row_upper=[1.0])
+        sol = solve_qp(p)
+        assert sol.status == "optimal"
+        assert check_kkt(p, sol.u_star, sol.multipliers) <= 1e-8
+        np.testing.assert_allclose(sol.u_star, [1.5, -0.5], atol=1e-12)
+
     def test_bad_multiplier_shape(self):
         p = QpProblem(H=np.eye(1), f=np.zeros(1),
                       lower=np.array([-1.0]), upper=np.array([1.0]))

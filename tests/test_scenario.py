@@ -273,6 +273,21 @@ schedule = 5:10
         code = cli_main(["sweep", name, "--param", key, "--values", value])
         assert code == 1 and f"error: {section}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,key,value", [
+        # "SVD did not converge" after RuntimeWarnings, without a key
+        ("fig9_mpc_weight_square", "plant_params.stiffness", "1e40"),
+        # "runtime divergence" at step 0 (exit 2)
+        ("fig9_pid_weight_square", "plant_params.stiffness", "1e40"),
+        # an OverflowError traceback from the infinite A_c
+        ("fig9_pid_weight_square", "plant_params.inertia", "1e-320"),
+    ])
+    def test_non_finite_discretization_names_the_model_keys(self, name, key, value, capsys):
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            run_scenario(load_bundled_scenario(name, overrides={key: value}))
+        assert cli_main(["sweep", name, "--param", key, "--values", value]) == 1
+        err = capsys.readouterr().err
+        assert all(f"plant_params.{k}" in err for k in ("inertia", "stiffness", "damping"))
+
     def test_output_bounds_must_pair(self):
         with pytest.raises(ScenarioError):
             parse_scenario("""
