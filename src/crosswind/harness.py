@@ -18,7 +18,8 @@ import numpy as np
 
 from . import controllers as ctrl
 from . import estimator as est
-from .errors import CrosswindError, PlantDivergenceError, QpInfeasibleError, ScenarioError
+from .errors import (CrosswindError, NonFiniteModelError, PlantDivergenceError, QpInfeasibleError,
+                     ScenarioError)
 from .model import augment, continuous_roll_model, discretize_zoh
 from .plant import (
     FullPlantSimulator,
@@ -75,7 +76,7 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     limit = rp.torque_limit
     try:
         dm = discretize_zoh(continuous_roll_model(rp), cfg.Ts, rp.input_delay_Td)
-    except CrosswindError as exc:  # a parsed delay and Ts pass; A_c may overflow
+    except NonFiniteModelError as exc:  # the one failure that the roll-model keys cause
         raise ScenarioError("plant_params.inertia, plant_params.stiffness, plant_params.damping: "
                             f"{exc}") from None
     buffer = InputBuffer(dm.kd)

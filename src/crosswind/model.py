@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonIntegerDelayError
+from .errors import InvalidParameterError, NonFiniteModelError, NonIntegerDelayError
 
 # Singular values below this fraction of the largest count as zero when
 # computing numerical rank.
@@ -135,10 +135,8 @@ def expm_small(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
     norm = np.linalg.norm(M, np.inf)
-    if not np.isfinite(norm):  # a non-finite M has no finite exponential to scale to
-        return np.full((n, n), np.nan)
-    # scale so the series argument has norm <= 0.5
-    s = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
+    # scale so the series argument has norm <= 0.5 (a non-finite M is left unscaled)
+    s = max(0, int(np.ceil(np.log2(norm / 0.5))) if 0.5 < norm < math.inf else 0)
     Ms = M / (2.0**s)
     result = np.eye(n)
     term = np.eye(n)
@@ -183,8 +181,7 @@ def discretize_zoh(cm: ContinuousModel, Ts: float, Td: float) -> DiscreteModel:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E is rejected below
         E = expm_small(Maug * Ts)
     if not np.isfinite(E).all():
-        raise InvalidParameterError(
-            f"exp(A_c Ts) is not finite: Ts = {Ts}, A_c = {cm.A_c.tolist()}")
+        raise NonFiniteModelError(f"exp(A_c Ts) is not finite: Ts = {Ts}, A_c = {cm.A_c.tolist()}")
     return DiscreteModel(A=E[:n, :n], B=E[:n, n:], Ts=Ts, kd=kd)
 
 

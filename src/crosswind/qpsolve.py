@@ -63,21 +63,20 @@ def _row_matrix(rows, n: int) -> np.ndarray:
     return rows
 
 
-def _bounds(n: int, rows, lower, upper, row_lower, row_upper) -> tuple:
-    """The bounds as float vectors, then gamma = (upper, -lower, row_upper, -row_lower).
+def _stack_bounds(n: int, rows, lower, upper, row_lower, row_upper) -> np.ndarray:
+    """The bounds, validated and stacked as gamma = (upper, -lower, row_upper, -row_lower).
 
-    Row bounds are given exactly when ``rows`` is not None (else they are
-    empty), one per row; each lower <= upper, which NaN fails; and
+    There are n box bounds on each side and, exactly when ``rows`` is not
+    None, one row bound per row; each lower <= upper, which NaN fails; and
     min(gamma) > -inf: no lower bound is +inf and no upper bound -inf, so
     none rules out every value. A +inf in gamma is then the only
     constraint a solve may drop.
     """
-    given = rows is not None
-    if (row_lower is not None, row_upper is not None) != (given, given):
+    if (row_lower is None, row_upper is None) != (rows is None, rows is None):
         raise InvalidParameterError("row bounds must be given exactly when there are rows")
+    m = 0 if rows is None else rows.shape[0]
     lower, upper, rl, ru = (np.asarray(() if b is None else b, dtype=float).ravel()
                             for b in (lower, upper, row_lower, row_upper))
-    m = rows.shape[0] if given else 0
     if lower.shape != (n,) or upper.shape != (n,) or rl.shape != (m,) or ru.shape != (m,):
         raise InvalidParameterError(f"need {n} box bounds and {m} row bounds on each side")
     if not ((lower <= upper).all() and (rl <= ru).all()):
@@ -85,7 +84,7 @@ def _bounds(n: int, rows, lower, upper, row_lower, row_upper) -> tuple:
     gamma = np.concatenate((upper, -lower, ru, -rl))
     if not gamma.min() > -math.inf:
         raise InvalidParameterError("no lower bound may be +inf and no upper bound -inf")
-    return lower, upper, rl, ru, gamma
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,7 @@ class QpProblem:
     rows: np.ndarray | None = None
     row_lower: np.ndarray | None = None
     row_upper: np.ndarray | None = None
+    _gamma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
@@ -106,12 +106,14 @@ class QpProblem:
         n = f.size
         _check_hessian(H, n)
         rows = None if self.rows is None else _row_matrix(self.rows, n)
-        lower, upper, rl, ru, _ = _bounds(n, rows, self.lower, self.upper, self.row_lower,
-                                          self.row_upper)
+        gamma = _stack_bounds(n, rows, self.lower, self.upper, self.row_lower, self.row_upper)
+        m = 0 if rows is None else rows.shape[0]
+        upper, lower, ru, rl = np.split(gamma, [n, 2 * n, 2 * n + m])
+        lower, rl = -lower, -rl  # gamma holds them negated; negation is exact
         if rows is None:
             rl = ru = None  # no rows is zero rows only inside the solver
-        for name, value in zip(("H", "f", "rows", "lower", "upper", "row_lower", "row_upper"),
-                               (H, f, rows, lower, upper, rl, ru)):
+        for name, value in zip(("H", "f", "rows", "lower", "upper", "row_lower", "row_upper",
+                                "_gamma"), (H, f, rows, lower, upper, rl, ru, gamma)):
             object.__setattr__(self, name, value)
 
     @property
@@ -148,8 +150,7 @@ def constraint_stack(p: QpProblem):
     """
     I = np.eye(p.n)
     R = _row_matrix(p.rows, p.n)
-    *_, gamma = _bounds(p.n, p.rows, p.lower, p.upper, p.row_lower, p.row_upper)
-    return np.vstack([I, -I, R, -R]), gamma
+    return np.vstack([I, -I, R, -R]), p._gamma.copy()
 
 
 def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
@@ -225,7 +226,7 @@ class QpWorkspace:
         u = self.H2_inv @ -f  # -(H2_inv @ f) would turn an exact +0 into -0
         if not np.isfinite(u).all():
             raise InvalidParameterError("f must be finite, and so must -inv(2H) f")
-        *_, gamma = _bounds(n, self.rows, lower, upper, row_lower, row_upper)
+        gamma = _stack_bounds(n, self.rows, lower, upper, row_lower, row_upper)
         usable = gamma < np.inf  # a +inf bound is the one constraint a solve drops
         gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
         scale = np.maximum(1.0, np.abs(gamma))
@@ -251,13 +252,12 @@ class QpWorkspace:
         """``check_kkt`` evaluated on the cached data (equal up to rounding)."""
         n, r = self.n, self._rows.shape[0]
         grad = 2.0 * (self.H @ u) + f  # the bits of (2H) u + f: doubling is exact
-        primal = max(0.0, viol_max)
         M_lam = lam[:n] - lam[n:2 * n] + self._rows.T @ (lam[2 * n:2 * n + r] - lam[2 * n + r:])
         stationarity = np.abs(grad + M_lam).max() / max(
             1.0, np.abs(grad).max(), np.abs(M_lam).max())
         dual = max(0.0, -lam.min())
         comp = (np.abs(lam * slack) / np.maximum(scale, np.abs(lam))).max()
-        return float(max(stationarity, primal, dual, comp))
+        return float(max(stationarity, viol_max, dual, comp))  # a negative viol_max never wins
 
     def _dual_active_set(self, f, u, gamma, scale, mask, tol, max_iters, history):
         """Goldfarb-Idnani iterations from the unconstrained minimizer.

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import re
 from importlib import resources
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from crosswind.cli import main as cli_main
-from crosswind.errors import ScenarioError
+from crosswind.errors import InvalidParameterError, NonIntegerDelayError, ScenarioError
 from crosswind.harness import compute_metrics, run_scenario
 from crosswind.plant import TorqueSchedule, WindTorqueMap, wind_speed_to_torque
 from crosswind.scenario import (
@@ -287,6 +288,15 @@ schedule = 5:10
         assert cli_main(["sweep", name, "--param", key, "--values", value]) == 1
         err = capsys.readouterr().err
         assert all(f"plant_params.{k}" in err for k in ("inertia", "stiffness", "damping"))
+
+    @pytest.mark.parametrize("ts,error", [(0.3, NonIntegerDelayError), (0.0, InvalidParameterError)])
+    def test_unparsed_timing_error_is_not_relabelled(self, ts, error):
+        # only a non-finite model names the roll-model keys; a config built
+        # without parsing keeps the delay's and Ts's own errors
+        cfg = dataclasses.replace(load_bundled_scenario("fig9_pid_weight_square"), Ts=ts)
+        with pytest.raises(error) as info:
+            run_scenario(cfg)
+        assert not isinstance(info.value, ScenarioError)
 
     def test_output_bounds_must_pair(self):
         with pytest.raises(ScenarioError):
