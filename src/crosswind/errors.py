@@ -20,10 +20,6 @@ class NonIntegerDelayError(InvalidParameterError):
     """The input delay is not an integer multiple of the sampling interval."""
 
 
-class NonFiniteModelError(InvalidParameterError):
-    """The discretized roll model (A or B) is not finite."""
-
-
 class UnobservablePairError(CrosswindError, ValueError):
     """Observer design requested for an unobservable (A, C) pair."""
 

@@ -141,9 +141,7 @@ def solve_filter_are(am: AugmentedModel, kc: KalmanConfig) -> np.ndarray:
     eye = np.eye(3)
     doublings = 0
     while True:
-        residual = np.linalg.norm(_are_rhs(P, A, C, kc.Q, kc.R) - P) / max(
-            np.linalg.norm(P), 1e-300)
-        if residual < kc.are_tol:
+        if are_residual(am, kc, P) < kc.are_tol:
             return 0.5 * (P + P.T)
         if 2 ** doublings > kc.are_max_iters:
             raise AreConvergenceError(

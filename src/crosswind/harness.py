@@ -18,8 +18,7 @@ import numpy as np
 
 from . import controllers as ctrl
 from . import estimator as est
-from .errors import (CrosswindError, NonFiniteModelError, PlantDivergenceError, QpInfeasibleError,
-                     ScenarioError)
+from .errors import PlantDivergenceError, QpInfeasibleError
 from .model import augment, continuous_roll_model, discretize_zoh
 from .plant import (
     FullPlantSimulator,
@@ -29,7 +28,7 @@ from .plant import (
     SimplifiedPlantSimulator,
     measure_roll,
 )
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, build_named
 
 QP_NONE = "none"
 QP_OPTIMAL = "optimal"
@@ -74,11 +73,9 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     """
     rp = cfg.plant_params
     limit = rp.torque_limit
-    try:
-        dm = discretize_zoh(continuous_roll_model(rp), cfg.Ts, rp.input_delay_Td)
-    except NonFiniteModelError as exc:  # the one failure that the roll-model keys cause
-        raise ScenarioError("plant_params.inertia, plant_params.stiffness, plant_params.damping: "
-                            f"{exc}") from None
+    # a ScenarioConfig's delay and Ts discretize, so only the keys of A_c can fail here
+    dm = build_named("plant_params.inertia, plant_params.stiffness, plant_params.damping",
+                     discretize_zoh, continuous_roll_model(rp), cfg.Ts, rp.input_delay_Td)
     buffer = InputBuffer(dm.kd)
     observer, observe = _observer(cfg, augment(dm))
     control = _controller(cfg, dm, buffer)
@@ -120,13 +117,11 @@ def _observer(cfg: ScenarioConfig, am):
     if cfg.estimator_kind == "none":
         nan = float("nan")
         return est.ObserverState(np.array([0.0, 0.0, nan]), nan), lambda obs, y, u: obs
-    try:
-        if cfg.estimator_kind == "pole_place":
-            gain = est.place_observer_gain(am, cfg.observer_poles)
-        else:
-            gain = est.kalman_gain(am, est.solve_filter_are(am, cfg.kalman), cfg.kalman.R)
-    except CrosswindError as exc:
-        raise ScenarioError(f"estimator_params: observer design failed: {exc}") from None
+    if cfg.estimator_kind == "pole_place":
+        gain = build_named("estimator_params", est.place_observer_gain, am, cfg.observer_poles)
+    else:
+        P = build_named("estimator_params", est.solve_filter_are, am, cfg.kalman)
+        gain = build_named("estimator_params", est.kalman_gain, am, P, cfg.kalman.R)
     step, alpha = est.observer_step, cfg.torque_filter_alpha
     return est.ObserverState(), lambda obs, y, u: step(obs, y, u, gain, am, filter_alpha=alpha)
 
@@ -144,10 +139,7 @@ def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
         return lambda y, observer, wind_ff: (pid_step(pid_state, y, pid_cfg, limit), QP_NONE)
 
     mpc_cfg = cfg.mpc
-    try:
-        stack = ctrl.build_prediction(dm, mpc_cfg)
-    except CrosswindError as exc:
-        raise ScenarioError(f"mpc: prediction design failed: {exc}") from None
+    stack = build_named("mpc", ctrl.build_prediction, dm, mpc_cfg)
     closed_form, constrained = ctrl.mpc_unconstrained_step, ctrl.mpc_constrained_step
 
     def unconstrained(y, observer, wind_ff, status=QP_NONE):

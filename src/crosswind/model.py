@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonFiniteModelError, NonIntegerDelayError
+from .errors import InvalidParameterError, NonIntegerDelayError
 
 # Singular values below this fraction of the largest count as zero when
 # computing numerical rank.
@@ -181,7 +181,8 @@ def discretize_zoh(cm: ContinuousModel, Ts: float, Td: float) -> DiscreteModel:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite E is rejected below
         E = expm_small(Maug * Ts)
     if not np.isfinite(E).all():
-        raise NonFiniteModelError(f"exp(A_c Ts) is not finite: Ts = {Ts}, A_c = {cm.A_c.tolist()}")
+        raise InvalidParameterError(
+            f"exp(A_c Ts) is not finite: Ts = {Ts}, A_c = {cm.A_c.tolist()}")
     return DiscreteModel(A=E[:n, :n], B=E[:n, n:], Ts=Ts, kd=kd)
 
 

@@ -1,10 +1,11 @@
 """Scenario definition: a declarative description of one closed-loop run.
 
 Scenario files are INI-style key-value documents with nested sections
-(parsed with configparser). Unknown sections or keys are rejected, every
-key has a documented default, and validation failures carry the
-offending ``section.key``. The full schema is documented in the README
-and mirrored by ``SCENARIO_SCHEMA`` below.
+(parsed with configparser, without interpolation or a ``[DEFAULT]``
+section). Unknown sections or keys are rejected, every key has a
+documented default, and validation failures carry the offending
+``section.key``. The full schema is documented in the README and
+mirrored by ``SCENARIO_SCHEMA`` below.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .controllers import MAX_HORIZON, MpcConfig, PidConfig
-from .errors import ScenarioError
+from .errors import CrosswindError, InvalidParameterError, ScenarioError
 from .estimator import KalmanConfig
 from .model import MAX_STEPS, RollPlantParams, delay_steps
 from .plant import MAX_ROLL, MotorParams, TorqueSchedule, WindTorqueMap, substep_count
@@ -114,11 +115,44 @@ class ScenarioConfig:
     motor: MotorParams
     inner_dt: float
 
+    def __post_init__(self):
+        """The rules of the ``[scenario]`` scalars and those that relate keys to each other.
+
+        Every other value is checked by the dataclass it builds, as it is built.
+        """
+        if not 0 < self.Ts < math.inf:  # first: the rules below divide by it
+            raise InvalidParameterError(f"Ts must be finite and > 0, got {self.Ts}", "Ts")
+        delay_steps(self.plant_params.input_delay_Td, self.Ts)
+        if self.plant_kind == "full":
+            substep_count(self.Ts, self.inner_dt)
+        poles = self.observer_poles
+        rules = (  # NaN fails every comparison
+            ("duration", 0.5 < self.duration / self.Ts < MAX_STEPS + 0.5,  # round() of it: steps
+             f"duration must span 1 to {MAX_STEPS} scenario.ts steps"),
+            ("noise_std", 0 <= self.noise_std <= MAX_ROLL,
+             f"noise_std must be in [0, {MAX_ROLL:g}] rad"),
+            ("initial_theta", abs(self.initial_theta) <= MAX_ROLL,  # further out is divergence
+             f"initial_theta must be in [-{MAX_ROLL:g}, {MAX_ROLL:g}] rad"),
+            ("initial_theta_dot", math.isfinite(self.initial_theta_dot),
+             "initial_theta_dot must be finite"),
+            ("rng_seed", self.rng_seed >= 0, "rng_seed must be >= 0"),
+            ("feedforward", not self.feedforward or self.estimator_kind != "none",
+             "feedforward requires an estimator"),
+            ("controller", self.controller == "pid" or self.estimator_kind != "none",
+             "MPC controllers require an estimator (the roll rate is not measured)"),
+            ("observer_poles", len(poles) == 3 and all(abs(pole) < 1.0 for pole in poles),
+             "poles must be 3 poles inside the unit circle"),
+            ("torque_filter_alpha", 0 < self.torque_filter_alpha <= 1,
+             "torque_filter_alpha must be in (0, 1]"),
+        )
+        for name, holds, rule in rules:
+            if not holds:
+                raise InvalidParameterError(f"{rule}, got {getattr(self, name)!r}", name)
+
     def event_times(self) -> list:
         """Disturbance-torque changes on the control grid, each once, before the run ends."""
         end = round(self.duration / self.Ts) * self.Ts
-        changes = self.disturbance.on_grid(self.Ts).change_times()
-        return list(dict.fromkeys(t for t in changes if t < end))
+        return [t for t in self.disturbance.on_grid(self.Ts).change_times() if t < end]
 
 
 def _convert(kind: str, raw: str, where: str):
@@ -159,14 +193,16 @@ def _convert(kind: str, raw: str, where: str):
     raise AssertionError(f"unknown converter {kind}")
 
 
-def _build(where: str, make, **kwargs):
-    """``make(**kwargs)``, with a ValueError reported as a ScenarioError.
+def build_named(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a failure reported as a ScenarioError.
 
-    The error names the ``section.key`` of the field it rejects, else ``where``.
+    Serves every check of a parsed value and every design step of a run's
+    set-up. The error names the ``section.key`` of the field it rejects,
+    else ``where``.
     """
     try:
-        return make(**kwargs)
-    except ValueError as exc:
+        return make(*args, **kwargs)
+    except (CrosswindError, ValueError) as exc:
         key = _KEY_OF_FIELD.get(getattr(exc, "field", None), where)
         raise ScenarioError(f"{key}: {exc}") from None
 
@@ -177,7 +213,9 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
     ``overrides`` maps dotted ``section.key`` names to raw string values
     and is applied before validation (used by the CLI sweep command).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True)
+    # no header names the empty section, so a [DEFAULT] section is an unknown one
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True,
+                                       interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -218,37 +256,40 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
                 for key, (_, _, field) in SCENARIO_SCHEMA[section].items()}
 
     scalars = read("scenario")
-    plant_params = _build("plant_params", RollPlantParams, **read("plant_params"))
+    plant_params = build_named("plant_params", RollPlantParams, **read("plant_params"))
 
     # the [wind] and [weights] keys are checked even where no profile or schedule uses them
     disturbance = TorqueSchedule()
-    wind_map = _build("wind", WindTorqueMap, quad_coeff_c=get("wind", "quad_coeff"),
-                      direction=get("wind", "direction"))
+    wind_map = build_named("wind", WindTorqueMap, quad_coeff_c=get("wind", "quad_coeff"),
+                           direction=get("wind", "direction"))
     side = get("weights", "side")
     profile_pairs = get("wind", "profile")
     schedule_pairs = get("weights", "schedule")
     if profile_pairs is not None:
-        disturbance = _build("wind.profile", TorqueSchedule.from_wind,
-                             breakpoints=profile_pairs, wind_map=wind_map)
+        disturbance = build_named("wind.profile", TorqueSchedule.from_wind,
+                                  breakpoints=profile_pairs, wind_map=wind_map)
     if schedule_pairs is not None:
-        disturbance = _build("weights.schedule", TorqueSchedule.from_weights,
-                             schedule=schedule_pairs, side=side, rp=plant_params)
+        disturbance = build_named("weights.schedule", TorqueSchedule.from_weights,
+                                  schedule=schedule_pairs, side=side, rp=plant_params)
     if profile_pairs is not None and schedule_pairs is not None:
-        raise ScenarioError("a scenario may define wind or weights, not both")
+        raise ScenarioError("wind.profile, weights.schedule: a scenario may define wind or "
+                            "weights, not both")
 
-    kalman = _build("estimator_params", KalmanConfig,
-                    Q=np.diag(get("estimator_params", "q_diag")), R=get("estimator_params", "r"))
-    pid = _build("pid", PidConfig, Ts=scalars["Ts"], **read("pid"))
+    kalman = build_named("estimator_params", KalmanConfig,
+                         Q=np.diag(get("estimator_params", "q_diag")),
+                         R=get("estimator_params", "r"))
+    pid = build_named("pid", PidConfig, Ts=scalars["Ts"], **read("pid"))
     horizon, limit = get("mpc", "horizon"), plant_params.torque_limit
     n = min(max(horizon, 1), MAX_HORIZON)  # MpcConfig rejects any other horizon by its key
-    mpc = _build("mpc", MpcConfig, Np=horizon,
-                 Qc_diag=np.append(np.ones(n - 1), get("mpc", "terminal_weight")),
-                 Rc_diag=np.full(n, get("mpc", "control_weight")), u_min=-limit, u_max=limit,
-                 y_min=get("mpc", "output_min"), y_max=get("mpc", "output_max"))
+    mpc = build_named("mpc", MpcConfig, Np=horizon,
+                      Qc_diag=np.append(np.ones(n - 1), get("mpc", "terminal_weight")),
+                      Rc_diag=np.full(n, get("mpc", "control_weight")), u_min=-limit, u_max=limit,
+                      y_min=get("mpc", "output_min"), y_max=get("mpc", "output_max"))
     motor = read("motor")
     inner_dt = motor.pop("inner_dt")
 
-    cfg = ScenarioConfig(
+    return build_named(
+        "scenario", ScenarioConfig,
         **scalars,
         plant_params=plant_params,
         disturbance=disturbance,
@@ -257,43 +298,9 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
         torque_filter_alpha=get("estimator_params", "torque_filter_alpha"),
         pid=pid,
         mpc=mpc,
-        motor=_build("motor", MotorParams, **motor),
+        motor=build_named("motor", MotorParams, **motor),
         inner_dt=inner_dt,
     )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: ScenarioConfig) -> None:
-    """The rules that relate keys to each other, and those of the scenario scalars.
-
-    Every other value is checked by the dataclass it builds, as it is built.
-    """
-    _build("plant_params", delay_steps, Td=cfg.plant_params.input_delay_Td, Ts=cfg.Ts)
-    if cfg.plant_kind == "full":
-        _build("motor", substep_count, Ts=cfg.Ts, inner_dt=cfg.inner_dt)
-    problems = []
-    if not 0.5 < cfg.duration / cfg.Ts < MAX_STEPS + 0.5:  # round() of it is n_steps; NaN fails
-        problems.append(f"scenario.duration must span 1 to {MAX_STEPS} scenario.ts steps")
-    if not 0 <= cfg.noise_std <= MAX_ROLL:  # NaN fails too
-        problems.append(f"scenario.noise_std must be in [0, {MAX_ROLL:g}] rad")
-    if not abs(cfg.initial_theta) <= MAX_ROLL:  # NaN fails too; further out is divergence
-        problems.append(f"scenario.initial_theta must be in [-{MAX_ROLL:g}, {MAX_ROLL:g}] rad")
-    if not math.isfinite(cfg.initial_theta_dot):
-        problems.append("scenario.initial_theta_dot must be finite")
-    if cfg.rng_seed < 0:
-        problems.append("scenario.rng_seed must be >= 0")
-    if cfg.feedforward and cfg.estimator_kind == "none":
-        problems.append("scenario.feedforward requires an estimator")
-    if cfg.controller in ("mpc_constrained", "mpc_unconstrained") and cfg.estimator_kind == "none":
-        problems.append("MPC controllers require an estimator (the roll rate is not measured)")
-    poles = cfg.observer_poles
-    if not (len(poles) == 3 and all(abs(pole) < 1.0 for pole in poles)):  # NaN fails too
-        problems.append("estimator_params.poles must be 3 poles inside the unit circle")
-    if not 0 < cfg.torque_filter_alpha <= 1:
-        problems.append("estimator_params.torque_filter_alpha must be in (0, 1]")
-    if problems:
-        raise ScenarioError("invalid scenario: " + "; ".join(problems))
 
 
 def load_scenario_file(path: str, overrides: dict | None = None) -> ScenarioConfig:

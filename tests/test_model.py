@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from crosswind.errors import InvalidParameterError, NonFiniteModelError, NonIntegerDelayError
+from crosswind.errors import InvalidParameterError, NonIntegerDelayError
 from crosswind.model import (
     AugmentedModel,
     ContinuousModel,
@@ -130,7 +130,7 @@ class TestDiscretizeZoh:
                                         RollPlantParams(inertia_J=1e-320)])
     def test_non_finite_discretization_rejected(self, params):
         # an overflowing exponential, and an infinite A_c, without a RuntimeWarning
-        with pytest.raises(NonFiniteModelError, match="not finite"):
+        with pytest.raises(InvalidParameterError, match="not finite"):
             discretize_zoh(continuous_roll_model(params), Ts=0.1, Td=1.0)
 
 

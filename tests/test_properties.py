@@ -1,11 +1,26 @@
 """Property tests: generated inputs, each checked against an independent oracle."""
 
+import configparser
+import contextlib
+import dataclasses
+import io
+import math
+import os
+import re
+import tempfile
+from importlib import resources
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from crosswind.cli import main as cli_main
+from crosswind.errors import PlantDivergenceError, ScenarioError
+from crosswind.harness import check_causality, run_scenario
+from crosswind.model import delay_steps
 from crosswind.qpsolve import DEFAULT_TOL, QpProblem, check_kkt, solve_qp
+from crosswind.scenario import SCENARIO_SCHEMA, parse_scenario
 
 BOUND_KINDS = ("box", "free", "lower_only", "upper_only", "pinned")
 
@@ -71,3 +86,80 @@ def test_qp_status_is_certified(p):
         assert lp_feasible(p)
     else:
         assert not lp_feasible(p)
+
+
+# a PID, a band-QP MPC and a full-plant scenario, each cut to 2 s with its weight on at 1 s
+SHORT_BASES = ("fig8_pid_weight_step", "mpc_tight_limit_weight_step", "fullplant_weight_step")
+SCHEMA_KEYS = [(section, key) for section, keys in SCENARIO_SCHEMA.items() for key in keys]
+BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "", "%", "%(ts)s", "zz")
+# one document in four gets a [DEFAULT] or an unknown section
+EXTRA_SECTIONS = ("",) * 9 + ("[DEFAULT]\nts = 0.2\n", "[DEFAULT]\nfoo = 1\n", "[extra]\nfoo = 1\n")
+# the trace columns of the plant, the command and the disturbance
+FINITE_COLUMNS = ("theta", "theta_dot", "wingtip_disp", "cmd_torque", "applied_torque",
+                  "tau_w_true")
+# an error names a schema section or section.key, alone or first in a list
+_NAMED = re.compile(r"([a-z_]+)(?:\.([a-z_]+))?[:,] ")
+
+
+def _short_copy(name: str) -> configparser.RawConfigParser:
+    doc = configparser.RawConfigParser()
+    doc.read_string((resources.files("crosswind") / "scenarios" / f"{name}.cfg")
+                    .read_text(encoding="utf-8"))
+    doc.read_dict({"scenario": {"duration": "2.0"}, "weights": {"schedule": "1:15"}})
+    return doc
+
+
+@st.composite
+def scenario_documents(draw):
+    """A short bundled scenario with one or two keys set to a bad value, and
+    sometimes a [DEFAULT] or an unknown section; returns (text, extra section)."""
+    doc = _short_copy(draw(st.sampled_from(SHORT_BASES)))
+    edits = st.tuples(st.sampled_from(SCHEMA_KEYS), st.sampled_from(BAD_VALUES))
+    for (section, key), value in draw(st.lists(edits, min_size=1, max_size=2)):
+        doc.read_dict({section: {key: value}})
+    text = io.StringIO()
+    doc.write(text)
+    extra = draw(st.sampled_from(EXTRA_SECTIONS))
+    return text.getvalue() + extra, extra
+
+
+def _cli_exit(text: str) -> tuple:
+    """The CLI's exit status and standard error for ``run`` on the document."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = os.path.join(tmp, "doc.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = cli_main(["run", path])
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(scenario_documents())
+def test_scenario_input_runs_or_fails_by_key(document):
+    """Every document runs to a finite, causal, repeatable trace, fails as a
+    ScenarioError that names its section or key (CLI exit 1), or diverges
+    with a step and a finite state (CLI exit 2)."""
+    text, extra = document
+    try:
+        cfg = parse_scenario(text)
+        trace = run_scenario(cfg)
+    except ScenarioError as exc:
+        named = _NAMED.match(str(exc))
+        section, key = named.groups() if named else (None, None)
+        assert (section in SCENARIO_SCHEMA and key in (None, *SCENARIO_SCHEMA[section])
+                or extra and str(exc).startswith(f"unknown section {extra.splitlines()[0]}")), exc
+        code, err = _cli_exit(text)
+        assert code == 1 and err == f"error: {exc}\n"
+    except PlantDivergenceError as exc:
+        state = dataclasses.astuple(exc.state)
+        assert 0 <= exc.step < round(cfg.duration / cfg.Ts) and np.isfinite(state).all(), exc
+        code, err = _cli_exit(text)
+        assert code == 2 and err.startswith("runtime divergence: ")
+    else:
+        limit = cfg.plant_params.torque_limit
+        kd = delay_steps(cfg.plant_params.input_delay_Td, cfg.Ts)
+        assert len(trace) == round(cfg.duration / cfg.Ts)
+        assert all(math.isfinite(getattr(r, name)) for r in trace for name in FINITE_COLUMNS)
+        assert check_causality(trace, kd, limit, atol=0)
+        assert repr(run_scenario(cfg)) == repr(trace)

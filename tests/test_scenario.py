@@ -154,13 +154,31 @@ class TestValidation:
             parse_scenario("[scenario]\ncontroller = mpc_constrained\n")
 
     def test_wind_and_weights_exclusive(self):
-        with pytest.raises(ScenarioError, match="not both"):
+        with pytest.raises(ScenarioError, match="not both") as info:
             parse_scenario("""
 [wind]
 profile = 0:1
 [weights]
 schedule = 5:10
 """)
+        assert str(info.value).startswith("wind.profile, weights.schedule: ")
+
+    @pytest.mark.parametrize("doc,named", [
+        ("[scenario]\nnoise_std = 0.002%\n", "scenario.noise_std: "),  # an interpolation traceback
+        ("[scenario]\nduration = %(ts)s\n", "scenario.duration: "),  # the same
+        ("[scenario]\nts = 0.1\nduration = %(ts)s\n", "scenario.duration: "),  # ran 1 step
+        ("[DEFAULT]\nfoo = 1\n", "unknown section [DEFAULT]"),  # ran to exit 0
+        ("[DEFAULT]\nts = 0.2\n", "unknown section [DEFAULT]"),  # set scenario.ts
+        ("[DEFAULT]\n", "unknown section [DEFAULT]"),
+    ])
+    def test_only_the_documented_dialect_is_read(self, doc, named, tmp_path, capsys):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(doc)
+        assert str(info.value).startswith(named)
+        path = tmp_path / "dialect.cfg"
+        path.write_text(doc, encoding="utf-8")
+        assert cli_main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
 
     def test_side_is_checked_without_a_schedule(self):
         # without weights.schedule the side was never read
@@ -219,6 +237,7 @@ schedule = 5:10
         ("wind.profile", "0:1e155"),  # checked before wind and weights exclude each other
         ("plant_params.input_delay", "1e300"),  # an OverflowError traceback from the buffer
         ("scenario.duration", "1e12"),  # 1e13 steps: a run that did not end
+        ("scenario.duration", "5%"),  # "invalid interpolation syntax" without a key
         ("wind.quad_coeff", "-1"),  # ignored without a wind.profile
         ("wind.direction", "7"),
     ])
@@ -291,11 +310,11 @@ schedule = 5:10
 
     @pytest.mark.parametrize("ts,error", [(0.3, NonIntegerDelayError), (0.0, InvalidParameterError)])
     def test_unparsed_timing_error_is_not_relabelled(self, ts, error):
-        # only a non-finite model names the roll-model keys; a config built
-        # without parsing keeps the delay's and Ts's own errors
-        cfg = dataclasses.replace(load_bundled_scenario("fig9_pid_weight_square"), Ts=ts)
+        # a config built without parsing rejects a bad delay or Ts as it is
+        # built, with the delay's and Ts's own errors
+        cfg = load_bundled_scenario("fig9_pid_weight_square")
         with pytest.raises(error) as info:
-            run_scenario(cfg)
+            dataclasses.replace(cfg, Ts=ts)
         assert not isinstance(info.value, ScenarioError)
 
     def test_output_bounds_must_pair(self):
