@@ -1,7 +1,7 @@
 """Command-line interface: run, compare, and sweep scenarios.
 
 Scenario arguments are file paths, or names of bundled scenarios when no
-such file exists (see ``crosswind run --list``). Exit codes: 0 success,
+such file exists (see ``crosswind scenarios``). Exit codes: 0 success,
 1 parse/validation failure or another library error, 2 runtime divergence.
 """
 

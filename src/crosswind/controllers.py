@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BufferLengthError, InvalidParameterError, QpInfeasibleError
+from .errors import InvalidParameterError, QpInfeasibleError
 from .estimator import lowpass
 from .model import DiscreteModel
 from .plant import InputBuffer, RollState, saturate
@@ -216,19 +216,6 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
         shift_floats=tuple(K_shift.ravel().tolist() + (M_shift @ np.ones(dm.kd)).tolist()),
         push_coeffs=dm.floats + tuple((K_shift @ B).ravel().tolist()),
         L0=tuple(L[0].tolist()))
-
-
-def _shift_from_history(x: RollState, history: np.ndarray, stack: PredictionStack) -> np.ndarray:
-    """x(k+kd) from x(k) and the kd inputs applied in between, in O(kd).
-
-    The exact product; the steps read the same shift in O(1) through
-    ``_shifted``, within rounding of this one, and never call it.
-    """
-    kd = stack.M_shift.shape[1]
-    if history.size != kd:
-        raise BufferLengthError(f"buffer holds {history.size} commands, model delay is {kd}")
-    xv = np.array([x.theta, x.theta_dot])
-    return stack.K_shift @ xv + stack.M_shift @ history
 
 
 def _shifted(x: RollState, buf: InputBuffer, stack: PredictionStack,

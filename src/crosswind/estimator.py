@@ -21,6 +21,7 @@ from .errors import (
     UnstablePoleError,
 )
 from .model import AugmentedModel, check_observability, observability_matrix
+from .plant import RollState
 
 DEFAULT_OBSERVER_POLES = (0.65, 0.7, 0.75)
 DEFAULT_TORQUE_FILTER_ALPHA = 0.2
@@ -69,15 +70,14 @@ class KalmanConfig:
 
 
 @dataclass
-class ObserverState:
-    """Running estimate (theta, theta_dot, tau_w) plus the filtered torque."""
+class ObserverState(RollState):
+    """Running estimate (theta, theta_dot, tau_w_hat) plus the filtered torque.
 
-    x_hat: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    It is the roll state the MPC predicts from, as estimated.
+    """
+
+    tau_w_hat: float = 0.0
     filtered_tau_w: float = 0.0
-
-    @property
-    def tau_w_hat(self) -> float:
-        return float(self.x_hat[2])
 
 
 def lowpass(prev: float, new: float, alpha: float) -> float:
@@ -183,19 +183,18 @@ def observer_step(os_: ObserverState, y_meas: float, delayed_cmd: float,
 
     x^+ = A_aug x + B_aug u(k-kd) + L (y - C_aug x); the torque estimate
     is additionally low-pass filtered for use by the feed-forward path.
-    The update runs on the plain-float views ``am.floats`` and
-    ``gain.floats``; only the new x_hat is an array.
+    The update runs on plain floats: the state's fields and the views
+    ``am.floats`` and ``gain.floats``.
     """
     a00, a01, a02, a10, a11, a12, a20, a21, a22, b0, b1, b2, c0, c1, c2 = am.floats
     l0, l1, l2 = gain.floats
-    x0, x1, x2 = os_.x_hat.tolist()
+    x0, x1, x2 = os_.theta, os_.theta_dot, os_.tau_w_hat
     innovation = y_meas - (c0 * x0 + c1 * x1 + c2 * x2)
     tau_w = a20 * x0 + a21 * x1 + a22 * x2 + b2 * delayed_cmd + l2 * innovation
-    x_next = np.array((a00 * x0 + a01 * x1 + a02 * x2 + b0 * delayed_cmd + l0 * innovation,
-                       a10 * x0 + a11 * x1 + a12 * x2 + b1 * delayed_cmd + l1 * innovation,
-                       tau_w))
-    filtered = lowpass(os_.filtered_tau_w, tau_w, filter_alpha)
-    return ObserverState(x_hat=x_next, filtered_tau_w=filtered)
+    return ObserverState(
+        theta=a00 * x0 + a01 * x1 + a02 * x2 + b0 * delayed_cmd + l0 * innovation,
+        theta_dot=a10 * x0 + a11 * x1 + a12 * x2 + b1 * delayed_cmd + l1 * innovation,
+        tau_w_hat=tau_w, filtered_tau_w=lowpass(os_.filtered_tau_w, tau_w, filter_alpha))
 
 
 def error_dynamics_matrix(am: AugmentedModel, gain: ObserverGain) -> np.ndarray:

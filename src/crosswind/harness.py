@@ -116,7 +116,7 @@ def _observer(cfg: ScenarioConfig, am):
     """Initial observer state and its update; NaN estimates that never change without one."""
     if cfg.estimator_kind == "none":
         nan = float("nan")
-        return est.ObserverState(np.array([0.0, 0.0, nan]), nan), lambda obs, y, u: obs
+        return est.ObserverState(tau_w_hat=nan, filtered_tau_w=nan), lambda obs, y, u: obs
     if cfg.estimator_kind == "pole_place":
         gain = build_named("estimator_params", est.place_observer_gain, am, cfg.observer_poles)
     else:
@@ -129,8 +129,8 @@ def _observer(cfg: ScenarioConfig, am):
 def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
     """The feedback step (y, observer, wind_ff) -> (command, qp_status).
 
-    PID acts on the measurement, MPC on the observer estimate from
-    before this step's update.
+    PID acts on the measurement, MPC on the observer state from before
+    this step's update, whose theta and theta_dot it reads as the roll state.
     """
     limit = cfg.plant_params.torque_limit
     if cfg.controller == "pid":
@@ -141,20 +141,15 @@ def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
     mpc_cfg = cfg.mpc
     stack = build_named("mpc", ctrl.build_prediction, dm, mpc_cfg)
     closed_form, constrained = ctrl.mpc_unconstrained_step, ctrl.mpc_constrained_step
-
-    def unconstrained(y, observer, wind_ff, status=QP_NONE):
-        x_hat = RollState(*observer.x_hat[:2].tolist())
-        return closed_form(x_hat, buffer, stack, limit, wind_estimate=wind_ff), status
-
     if cfg.controller == "mpc_unconstrained":
-        return unconstrained
+        return lambda y, observer, wind_ff: (
+            closed_form(observer, buffer, stack, limit, wind_estimate=wind_ff), QP_NONE)
 
     def qp(y, observer, wind_ff):
-        x_hat = RollState(*observer.x_hat[:2].tolist())
         try:
-            return constrained(x_hat, buffer, stack, mpc_cfg, wind_estimate=wind_ff), QP_OPTIMAL
+            return constrained(observer, buffer, stack, mpc_cfg, wind_estimate=wind_ff), QP_OPTIMAL
         except QpInfeasibleError:
-            return unconstrained(y, observer, wind_ff, QP_FALLBACK)
+            return closed_form(observer, buffer, stack, limit, wind_estimate=wind_ff), QP_FALLBACK
 
     return qp
 

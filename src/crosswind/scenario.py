@@ -123,8 +123,7 @@ class ScenarioConfig:
         if not 0 < self.Ts < math.inf:  # first: the rules below divide by it
             raise InvalidParameterError(f"Ts must be finite and > 0, got {self.Ts}", "Ts")
         delay_steps(self.plant_params.input_delay_Td, self.Ts)
-        if self.plant_kind == "full":
-            substep_count(self.Ts, self.inner_dt)
+        substeps = substep_count(self.Ts, self.inner_dt) if self.plant_kind == "full" else 1
         poles = self.observer_poles
         rules = (  # NaN fails every comparison
             ("duration", 0.5 < self.duration / self.Ts < MAX_STEPS + 0.5,  # round() of it: steps
@@ -148,6 +147,11 @@ class ScenarioConfig:
         for name, holds, rule in rules:
             if not holds:
                 raise InvalidParameterError(f"{rule}, got {getattr(self, name)!r}", name)
+        steps = round(self.duration / self.Ts)
+        if steps * substeps > MAX_STEPS:
+            raise InvalidParameterError(
+                f"inner_dt must leave a full-plant run at most {MAX_STEPS} RK4 substeps "
+                f"({steps} steps of {substeps:.3g}), got {self.inner_dt!r}", "inner_dt")
 
     def event_times(self) -> list:
         """Disturbance-torque changes on the control grid, each once, before the run ends."""

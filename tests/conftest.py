@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crosswind.controllers import PredictionStack
 from crosswind.model import (
     RollPlantParams,
     augment,
@@ -32,3 +33,9 @@ def nominal_am(nominal_dm):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+def shift_from_history(x, history: np.ndarray, stack: PredictionStack) -> np.ndarray:
+    """x(k+kd) from x(k) and the kd inputs applied in between: the exact O(kd)
+    product K_shift x + M_shift history, the reference for the O(1) shift."""
+    return stack.K_shift @ np.array([x.theta, x.theta_dot]) + stack.M_shift @ history

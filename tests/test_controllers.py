@@ -24,6 +24,8 @@ from crosswind.model import RollPlantParams, continuous_roll_model, discretize_z
 from crosswind.plant import InputBuffer, RollState, step_simplified_plant
 from crosswind.qpsolve import QpWorkspace
 
+from conftest import shift_from_history
+
 
 def make_mpc_cfg(Np=30, terminal=50.0, rc=1e-9, u_lim=1000.0, y_min=None, y_max=None):
     qc = np.ones(Np)
@@ -468,11 +470,11 @@ class TestRunningShift:
         for _ in range(200):
             x = RollState(float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.5, 0.5)))
             w = float(rng.uniform(-500.0, 500.0))
-            exact = ctrl._shift_from_history(x, buf.as_array() + w, stack)
+            exact = shift_from_history(x, buf.as_array() + w, stack)
             assert np.allclose(ctrl._shifted(x, buf, stack, w), exact, rtol=0.0, atol=1e-14)
             shifted = shift_state(x, buf, stack)
             assert np.allclose([shifted.theta, shifted.theta_dot],
-                               ctrl._shift_from_history(x, buf.as_array(), stack),
+                               shift_from_history(x, buf.as_array(), stack),
                                rtol=0.0, atol=1e-14)
             buf.push(float(rng.uniform(-1000.0, 1000.0)))
 

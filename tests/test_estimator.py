@@ -156,6 +156,17 @@ class TestKalmanGain:
             kalman_gain(nominal_am, np.zeros((3, 3)), 0.0)
 
 
+def estimate(x, filtered_tau_w: float = 0.0) -> ObserverState:
+    """The observer state holding the estimate x = (theta, theta_dot, tau_w)."""
+    theta, theta_dot, tau_w = map(float, x)
+    return ObserverState(theta=theta, theta_dot=theta_dot, tau_w_hat=tau_w,
+                         filtered_tau_w=filtered_tau_w)
+
+
+def as_vector(os_: ObserverState) -> np.ndarray:
+    return np.array([os_.theta, os_.theta_dot, os_.tau_w_hat])
+
+
 class TestObserverStep:
     def test_gain_floats_equal_its_column(self, nominal_am):
         gain = place_observer_gain(nominal_am, DESIGN_POLES)
@@ -167,22 +178,23 @@ class TestObserverStep:
         for _ in range(50):
             x = rng.normal(scale=[0.05, 0.1, 500.0])
             y, cmd = float(rng.normal(scale=0.05)), float(rng.normal(scale=500.0))
-            nxt = observer_step(ObserverState(x_hat=x, filtered_tau_w=10.0), y, cmd, gain,
+            nxt = observer_step(estimate(x, filtered_tau_w=10.0), y, cmd, gain,
                                 nominal_am, filter_alpha=0.3)
             expected = (nominal_am.A_aug @ x + nominal_am.B_aug.ravel() * cmd
                         + gain.L.ravel() * (y - (nominal_am.C_aug @ x)[0]))
-            assert isinstance(nxt.x_hat, np.ndarray) and nxt.x_hat.shape == (3,)
-            assert np.allclose(nxt.x_hat, expected, rtol=1e-15, atol=1e-15)
-            assert nxt.filtered_tau_w == 0.3 * nxt.x_hat[2] + 0.7 * 10.0
+            assert all(type(getattr(nxt, name)) is float
+                       for name in ("theta", "theta_dot", "tau_w_hat", "filtered_tau_w"))
+            assert np.allclose(as_vector(nxt), expected, rtol=1e-15, atol=1e-15)
+            assert nxt.filtered_tau_w == 0.3 * nxt.tau_w_hat + 0.7 * 10.0
 
     def test_exact_state_pure_prediction(self, nominal_am):
         gain = place_observer_gain(nominal_am, DESIGN_POLES)
         x_true = np.array([0.01, -0.02, 300.0])
-        os_ = ObserverState(x_hat=x_true.copy())
+        os_ = estimate(x_true)
         y = x_true[0]  # noiseless output, matching estimate
         nxt = observer_step(os_, y, 120.0, gain, nominal_am)
         pred = nominal_am.A_aug @ x_true + nominal_am.B_aug.ravel() * 120.0
-        assert np.max(np.abs(nxt.x_hat - pred)) < 1e-15
+        assert np.max(np.abs(as_vector(nxt) - pred)) < 1e-15
 
     def test_error_recursion_identity(self, nominal_am, rng):
         """e(k+1) = (A - L C) e(k) exactly, for 50 random error vectors."""
@@ -192,11 +204,11 @@ class TestObserverStep:
             x_true = rng.normal(scale=[0.05, 0.1, 500.0])
             err = rng.normal(scale=[0.01, 0.02, 100.0])
             cmd = rng.normal(scale=200.0)
-            os_ = ObserverState(x_hat=x_true - err)
+            os_ = estimate(x_true - err)
             y = x_true[0]
             nxt = observer_step(os_, y, cmd, gain, nominal_am)
             x_true_next = nominal_am.A_aug @ x_true + nominal_am.B_aug.ravel() * cmd
-            err_next = x_true_next - nxt.x_hat
+            err_next = x_true_next - as_vector(nxt)
             expected = A_err @ err
             scale = max(1.0, np.max(np.abs(expected)))
             assert np.max(np.abs(err_next - expected)) < 1e-12 * scale
@@ -231,7 +243,7 @@ class TestObserverStep:
         errs = []
         for _ in range(110):
             x_true = np.array([plant.theta, plant.theta_dot, tau_w])
-            errs.append(np.linalg.norm(x_true - os_.x_hat))
+            errs.append(np.linalg.norm(x_true - as_vector(os_)))
             os_ = observer_step(os_, plant.theta, 0.0, gain, nominal_am)
             plant = step_simplified_plant(plant, 0.0, tau_w, nominal_dm, nominal_params)
         # once sub-dominant modes die off, the average rate over a window is

@@ -8,6 +8,7 @@ import pytest
 from crosswind import controllers as ctrl
 from crosswind.cli import main as cli_main
 from crosswind.errors import PlantDivergenceError
+from crosswind.estimator import ObserverState
 from crosswind.harness import (
     TRACE_HEADER,
     TraceRecord,
@@ -15,11 +16,14 @@ from crosswind.harness import (
     compute_metrics,
     read_trace,
     response_reduction,
+    response_time,
     run_scenario,
     write_trace,
 )
 from crosswind.qpsolve import QpWorkspace
 from crosswind.scenario import bundled_scenario_names, load_bundled_scenario, parse_scenario
+
+from conftest import shift_from_history
 
 QUIET = """
 [scenario]
@@ -28,6 +32,24 @@ estimator = {estimator}
 feedforward = {ff}
 duration = 20.0
 noise_std = 0.0
+"""
+
+
+# output bounds tight enough that the QP is infeasible in the weight event's transient
+TIGHT_BAND = """
+[scenario]
+controller = mpc_constrained
+estimator = pole_place
+feedforward = true
+duration = 40.0
+
+[mpc]
+output_min = -0.004
+output_max = 0.004
+
+[weights]
+side = left
+schedule = 10:15
 """
 
 
@@ -113,27 +135,34 @@ class TestRunScenario:
         """Tight predicted-output bounds provoke an infeasible QP during the
         disturbance transient; the loop flags it, falls back to the
         closed-form law, and still settles."""
-        cfg = parse_scenario("""
-[scenario]
-controller = mpc_constrained
-estimator = pole_place
-feedforward = true
-duration = 40.0
-
-[mpc]
-output_min = -0.004
-output_max = 0.004
-
-[weights]
-side = left
-schedule = 10:15
-""")
-        trace = run_scenario(cfg)
+        trace = run_scenario(parse_scenario(TIGHT_BAND))
         statuses = {r.qp_status for r in trace}
         assert "infeasible_fallback" in statuses
         assert "optimal" in statuses
         m = compute_metrics(trace, band=0.02, events=[10.0])
         assert m.settled
+
+    @pytest.mark.parametrize("controller", ["mpc_unconstrained", "mpc_constrained"])
+    def test_mpc_steps_read_the_observer_state(self, controller, monkeypatch):
+        # the estimate reaches the MPC as it is, and a fallback step reuses it
+        seen = {}
+        for name in ("mpc_unconstrained_step", "mpc_constrained_step"):
+            def recording(x, *args, _step=getattr(ctrl, name), _seen=seen.setdefault(name, []),
+                          **kwargs):
+                _seen.append(x)
+                return _step(x, *args, **kwargs)
+            monkeypatch.setattr(ctrl, name, recording)
+        trace = run_scenario(parse_scenario(TIGHT_BAND.replace("mpc_constrained", controller)))
+        closed_form, constrained = seen["mpc_unconstrained_step"], seen["mpc_constrained_step"]
+        assert all(type(x) is ObserverState for x in closed_form + constrained)
+        if controller == "mpc_unconstrained":
+            assert len(closed_form) == len(trace) and not constrained
+        else:
+            fell_back = [x for x, r in zip(constrained, trace)
+                         if r.qp_status == "infeasible_fallback"]
+            assert len(constrained) == len(trace) and fell_back
+            assert len(closed_form) == len(fell_back)
+            assert all(a is b for a, b in zip(fell_back, closed_form))
 
     def test_binding_limits_fall_back_only_when_infeasible(self, monkeypatch):
         """At a 380 N m limit with a +-0.01 rad output band the box and the
@@ -171,7 +200,7 @@ schedule = 10:15
 
         def stepping(x, buf, stack, mpc, wind_estimate=0.0, **kwargs):
             # this step's whole QP, solved directly: does a bound bind?
-            xs = ctrl._shift_from_history(x, buf.as_array() + wind_estimate, stack)
+            xs = shift_from_history(x, buf.as_array() + wind_estimate, stack)
             F = stack.Phi @ xs
             ref = solve(stack.qp, 2.0 * (stack.G.T @ (stack.Qc_diag * F)),
                         np.full(mpc.Np, mpc.u_min + wind_estimate),
@@ -301,6 +330,15 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="unexpected trace header"):
             read_trace(str(p))
 
+    def test_row_missing_a_column_rejected(self, tmp_path):
+        p = tmp_path / "short.csv"
+        write_trace(make_trace([0.0, 0.0]), str(p))
+        lines = p.read_text().splitlines()
+        lines[2] = lines[2].split(",", 1)[1]  # drop the row's t
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="malformed trace row"):
+            read_trace(str(p))
+
     def test_unwritable_path(self):
         with pytest.raises(OSError):
             write_trace(make_trace([0.0]), "/nonexistent-dir/x.csv")
@@ -325,6 +363,8 @@ class TestMetrics:
         m = compute_metrics(make_trace(disps), band=0.02)
         assert m.settling_time is None
         assert not m.settled
+        # an unsettled final event counts its whole window, 50 steps of 0.1 s
+        assert response_time(m) == m.per_event[-1].window_end == pytest.approx(5.0)
 
     def test_multi_event_windows(self):
         dt = 0.1
@@ -387,6 +427,11 @@ class TestCli:
         assert code == 0
         assert "settling_time_s" in out
 
+    def test_run_of_an_unsettled_scenario_says_so(self, capsys):
+        # the PID baseline's square wave never holds the band
+        assert cli_main(["run", "fig3_pid_square", "--metrics"]) == 0
+        assert "\nsettling_time_s: not-settled\n" in capsys.readouterr().out
+
     def test_run_writes_trace(self, tmp_path, capsys):
         out_file = tmp_path / "trace.csv"
         code = cli_main(["run", "fig8_pid_weight_step", "--out", str(out_file)])
@@ -426,6 +471,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("settling_time_s") == 2
+
+    def test_sweep_without_values_exits_1(self, capsys):
+        code = cli_main(["sweep", "fig2_pid_steady", "--param", "scenario.rng_seed",
+                         "--values", ","])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sweep needs at least one value\n"
 
     def test_scenarios_listing(self, capsys):
         assert cli_main(["scenarios"]) == 0

@@ -9,6 +9,7 @@ import pytest
 from crosswind.cli import main as cli_main
 from crosswind.errors import InvalidParameterError, NonIntegerDelayError, ScenarioError
 from crosswind.harness import compute_metrics, run_scenario
+from crosswind.model import MAX_STEPS
 from crosswind.plant import TorqueSchedule, WindTorqueMap, wind_speed_to_torque
 from crosswind.scenario import (
     SCENARIO_SCHEMA,
@@ -170,6 +171,8 @@ schedule = 5:10
         ("[DEFAULT]\nfoo = 1\n", "unknown section [DEFAULT]"),  # ran to exit 0
         ("[DEFAULT]\nts = 0.2\n", "unknown section [DEFAULT]"),  # set scenario.ts
         ("[DEFAULT]\n", "unknown section [DEFAULT]"),
+        ("[weights]\nschedule = ,\n", "weights.schedule: empty pair list"),
+        ("[wind]\nprofile = ,\n", "wind.profile: empty pair list"),
     ])
     def test_only_the_documented_dialect_is_read(self, doc, named, tmp_path, capsys):
         with pytest.raises(ScenarioError) as info:
@@ -280,6 +283,25 @@ schedule = 5:10
         with pytest.raises(ScenarioError, match=re.escape("scenario.ts")):
             load_scenario_file(str(path))
         assert cli_main(["run", str(path)]) == 1 and "scenario.ts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inner_dt", ["1e-9", "1e-300"])  # 4e10 and 4e301 substeps
+    def test_full_plant_substeps_over_the_cap_are_rejected(self, inner_dt, tmp_path, capsys):
+        # each parsed, and the run did not end
+        text = (resources.files("crosswind") / "scenarios" / "fullplant_weight_step.cfg"
+                ).read_text(encoding="utf-8")
+        doc = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        doc.read_string(text)
+        doc.read_dict({"motor": {"inner_dt": inner_dt}})
+        path = tmp_path / "tiny_inner_dt.cfg"
+        with open(path, "w", encoding="utf-8") as fh:
+            doc.write(fh)
+        with pytest.raises(ScenarioError, match=re.escape("motor.inner_dt: ")):
+            parse_scenario(path.read_text(encoding="utf-8"))
+        assert cli_main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: motor.inner_dt: ")
+        # 400 steps of 25 000 substeps: MAX_STEPS in all, the most a run may take
+        assert MAX_STEPS == 400 * 25_000
+        assert parse_scenario(text, overrides={"motor.inner_dt": "4e-6"}).inner_dt == 4e-6
 
     @pytest.mark.parametrize("name,key,value,section", [
         # an AreConvergenceError traceback
