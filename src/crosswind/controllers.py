@@ -6,7 +6,7 @@ The MPC predicts from the state shifted past the input delay using the
 buffered commands, then optimizes the next Np inputs of the wind-cancelled
 model. When feed-forward is active, the effective model input over the
 delay window is the buffered command plus the estimated wind torque; the
-``wind_estimate`` argument folds that in (see shift_state notes).
+``wind_estimate`` argument folds that in (see the notes on ``_shifted``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .errors import InvalidParameterError, QpInfeasibleError
 from .estimator import lowpass
 from .model import DiscreteModel
 from .plant import InputBuffer, RollState, saturate
-# QpProblem and solve_qp stay importable from here for existing callers
+# bench/spans.py times QpProblem, solve_qp and the MPC steps below by wrapping them
+# at their controllers.* names, so these two stay importable from here
 from .qpsolve import DEFAULT_TOL, QpProblem, QpWorkspace, solve_qp  # noqa: F401
 
 # the largest PID derivative window and MPC horizon: only an MPC step's work grows with
@@ -254,8 +255,7 @@ def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStac
 
 
 def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
-                         cfg: MpcConfig, wind_estimate: float = 0.0,
-                         qp_max_iters: int = 5000) -> float:
+                         cfg: MpcConfig, wind_estimate: float = 0.0) -> float:
     """Receding-horizon step of the box(+output)-constrained QP.
 
     When u = -L xs, the QP's minimizer if no bound binds, passes the
@@ -298,7 +298,7 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
                 return float(u[0])
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
     sol = stack.qp.solve(f, np.full(cfg.Np, lower), np.full(cfg.Np, upper), row_lower,
-                         row_upper, max_iters=qp_max_iters)
+                         row_upper)
     if sol.status != "optimal":
         raise QpInfeasibleError(f"MPC quadratic program ended with status {sol.status!r}",
                                 status=sol.status)

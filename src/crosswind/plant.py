@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import BufferLengthError, InvalidParameterError, PlantDivergenceError
-from .model import DiscreteModel, RollPlantParams
+from .model import MAX_STEPS, DiscreteModel, RollPlantParams
 
 LB_TO_N = 4.44822  # pounds-force to newtons
 MAX_ROLL = 1e3  # rad: a plant rolled further has diverged, and no measurement noise is larger
@@ -375,11 +375,13 @@ def step_full_plant(s: FullPlantState, mp: MotorParams, rp: RollPlantParams,
 
 
 def substep_count(Ts: float, inner_dt: float) -> int:
-    """Number of RK4 substeps in one control interval; inner_dt must divide Ts."""
+    """Number of RK4 substeps in one control interval: inner_dt must divide Ts
+    into 1 to MAX_STEPS of them."""
     _check_inner_dt(inner_dt)
     ratio = Ts / inner_dt
-    if not 0.5 < ratio < math.inf or abs(ratio - round(ratio)) > 1e-9:
-        raise InvalidParameterError(f"inner_dt {inner_dt} s must divide Ts {Ts} s", "inner_dt")
+    if not 0.5 < ratio < MAX_STEPS + 0.5 or abs(ratio - round(ratio)) > 1e-9:
+        raise InvalidParameterError(f"inner_dt {inner_dt} s must divide Ts {Ts} s into 1 to "
+                                    f"{MAX_STEPS} substeps", "inner_dt")
     return round(ratio)
 
 

@@ -27,7 +27,7 @@ vector-matrix product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,22 +98,18 @@ class QpProblem:
     rows: np.ndarray | None = None
     row_lower: np.ndarray | None = None
     row_upper: np.ndarray | None = None
-    _gamma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=float)
         f = np.asarray(self.f, dtype=float).ravel()
-        n = f.size
-        _check_hessian(H, n)
-        rows = None if self.rows is None else _row_matrix(self.rows, n)
-        gamma = _stack_bounds(n, rows, self.lower, self.upper, self.row_lower, self.row_upper)
-        m = 0 if rows is None else rows.shape[0]
-        upper, lower, ru, rl = np.split(gamma, [n, 2 * n, 2 * n + m])
-        lower, rl = -lower, -rl  # gamma holds them negated; negation is exact
-        if rows is None:
-            rl = ru = None  # no rows is zero rows only inside the solver
-        for name, value in zip(("H", "f", "rows", "lower", "upper", "row_lower", "row_upper",
-                                "_gamma"), (H, f, rows, lower, upper, rl, ru, gamma)):
+        _check_hessian(H, f.size)
+        rows = None if self.rows is None else _row_matrix(self.rows, f.size)
+        # copies, so that no later edit of the caller's arrays gets past the check below
+        bounds = [None if b is None else np.array(b, dtype=float).ravel()
+                  for b in (self.lower, self.upper, self.row_lower, self.row_upper)]
+        _stack_bounds(f.size, rows, *bounds)
+        for name, value in zip(("H", "f", "rows", "lower", "upper", "row_lower", "row_upper"),
+                               (H, f, rows, *bounds)):
             object.__setattr__(self, name, value)
 
     @property
@@ -127,9 +123,11 @@ class QpSolution:
     beyond the tolerance and the multipliers are dual feasible.
 
     ``multipliers`` are the Lagrange multipliers of the stacked one-sided
-    constraints (see ``constraint_stack``). ``dual_objective_history``
-    holds, when requested, the dual objective after every active-set
-    step; the dual method makes it non-decreasing.
+    constraints (see ``constraint_stack``). A solve stopped at ``max_iters``
+    returns the iterate and the multipliers after exactly that many
+    active-set steps, the multiplier of the constraint being added
+    included; the dual method makes the Lagrangian at those iterates
+    non-decreasing in the step count.
     """
 
     u_star: np.ndarray
@@ -138,7 +136,6 @@ class QpSolution:
     iterations: int
     status: str  # optimal | infeasible | max_iters
     multipliers: np.ndarray
-    dual_objective_history: list = field(default_factory=list)
 
 
 def constraint_stack(p: QpProblem):
@@ -150,7 +147,8 @@ def constraint_stack(p: QpProblem):
     """
     I = np.eye(p.n)
     R = _row_matrix(p.rows, p.n)
-    return np.vstack([I, -I, R, -R]), p._gamma.copy()
+    return np.vstack([I, -I, R, -R]), _stack_bounds(p.n, p.rows, p.lower, p.upper,
+                                                    p.row_lower, p.row_upper)
 
 
 def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
@@ -213,8 +211,7 @@ class QpWorkspace:
         self._sign = np.repeat([1.0, -1.0, 1.0, -1.0], [n, n, k.size - n, k.size - n])
 
     def solve(self, f, lower, upper, row_lower=None, row_upper=None,
-              tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-              track_objective: bool = False) -> QpSolution:
+              tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> QpSolution:
         """Solve min u'Hu + f'u within the given bounds; see the module docstring.
 
         Row bounds are required exactly when the workspace has rows.
@@ -231,17 +228,15 @@ class QpWorkspace:
         gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
         scale = np.maximum(1.0, np.abs(gamma))
         mask = np.where(usable, 0.0, -np.inf)
-        history: list = []
         # the ratio test divides by r, which may be 0 or small enough to overflow
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u, lam, iterations, status = self._dual_active_set(
-                f, u, gamma, scale, mask, tol, max_iters, history if track_objective else None)
+            u, lam, iterations, status = self._dual_active_set(u, gamma, scale, mask, tol,
+                                                               max_iters)
         slack = self._slack(u, gamma)
         viol_max = (slack / scale + mask).max()
         return QpSolution(u_star=u, objective=float(u @ self.H @ u + f @ u),
                           kkt_residual=self._kkt_residual(u, f, lam, slack, scale, viol_max),
-                          iterations=iterations, status=status, multipliers=lam,
-                          dual_objective_history=history)
+                          iterations=iterations, status=status, multipliers=lam)
 
     def _slack(self, u, gamma):
         """M u - gamma for the stacked constraints, box rows taken on u directly."""
@@ -259,7 +254,7 @@ class QpWorkspace:
         comp = (np.abs(lam * slack) / np.maximum(scale, np.abs(lam))).max()
         return float(max(stationarity, viol_max, dual, comp))  # a negative viol_max never wins
 
-    def _dual_active_set(self, f, u, gamma, scale, mask, tol, max_iters, history):
+    def _dual_active_set(self, u, gamma, scale, mask, tol, max_iters):
         """Goldfarb-Idnani iterations from the unconstrained minimizer.
 
         The first ``a`` entries of ``act`` and ``lam_A`` hold the active
@@ -325,10 +320,6 @@ class QpWorkspace:
                 if independent:
                     u = u + step * z
                     slack_p -= step * curvature
-                if history is not None:
-                    s_now = self._slack(u, gamma)
-                    history.append(float(u @ H @ u + f @ u + lam_a @ s_now[act[:a]]
-                                         + lam_p * s_now[p]))
                 if step == full:  # add p, bordering S_inv
                     rs = r / math.sqrt(curvature)
                     S_a += rs[:, None] * rs
@@ -356,9 +347,7 @@ class QpWorkspace:
 
 
 def solve_qp(p: QpProblem, tol: float = DEFAULT_TOL,
-             max_iters: int = DEFAULT_MAX_ITERS,
-             track_objective: bool = False) -> QpSolution:
+             max_iters: int = DEFAULT_MAX_ITERS) -> QpSolution:
     """Solve one QP with a one-off ``QpWorkspace``; see the module docstring."""
-    ws = QpWorkspace(p.H, p.rows)
-    return ws.solve(p.f, p.lower, p.upper, p.row_lower, p.row_upper, tol=tol,
-                    max_iters=max_iters, track_objective=track_objective)
+    return QpWorkspace(p.H, p.rows).solve(p.f, p.lower, p.upper, p.row_lower, p.row_upper,
+                                          tol=tol, max_iters=max_iters)

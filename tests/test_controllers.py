@@ -399,7 +399,7 @@ class TestMpcSteps:
                                                   nominal_dm, nominal_params)
                 assert abs(plant.theta) < 1e-4
 
-    def test_qp_failure_carries_solver_status(self, nominal_dm):
+    def test_qp_failure_carries_solver_status(self, nominal_dm, monkeypatch):
         buf = InputBuffer(nominal_dm.kd)
         cfg = make_mpc_cfg(Np=10, u_lim=400.0, y_min=-0.001, y_max=0.001)
         st = build_prediction(nominal_dm, cfg)
@@ -410,8 +410,10 @@ class TestMpcSteps:
         st = build_prediction(nominal_dm, cfg)
         x = RollState(theta=0.05)
         assert abs(mpc_constrained_step(x, buf, st, cfg)) == pytest.approx(50.0)
+        solve = QpWorkspace.solve
+        monkeypatch.setattr(QpWorkspace, "solve", lambda ws, *args: solve(ws, *args, max_iters=1))
         with pytest.raises(QpInfeasibleError) as err:  # feasible, but cut off
-            mpc_constrained_step(x, buf, st, cfg, qp_max_iters=1)
+            mpc_constrained_step(x, buf, st, cfg)
         assert err.value.status == "max_iters"
 
     def test_stack_and_config_must_agree_on_output_bounds(self, nominal_dm, stack):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from crosswind.errors import InvalidParameterError, PlantDivergenceError
 from crosswind.harness import run_scenario
-from crosswind.model import RollPlantParams
+from crosswind.model import MAX_STEPS, RollPlantParams
 from crosswind.plant import (
     FullPlantSimulator,
     FullPlantState,
@@ -370,6 +370,16 @@ class TestFullPlant:
     def test_inner_dt_must_divide_ts_and_stay_below_1ms(self, nominal_params, inner_dt):
         with pytest.raises(InvalidParameterError, match="inner_dt"):
             FullPlantSimulator(nominal_params, 0.1, inner_dt=inner_dt)
+
+    @pytest.mark.parametrize("inner_dt", [1e-9, 1e-300])  # 1e8 and 1e299 substeps
+    def test_substeps_per_interval_capped_at_max_steps(self, inner_dt):
+        # 1e-300 set n_inner to a 300-digit integer, and the first interval never ended
+        with pytest.raises(InvalidParameterError, match=f"1 to {MAX_STEPS} substeps") as err:
+            FullPlantSimulator(RollPlantParams(), 0.1, inner_dt=inner_dt)
+        assert err.value.field == "inner_dt"
+
+    def test_max_steps_substeps_per_interval_build(self):
+        assert FullPlantSimulator(RollPlantParams(), 0.1, inner_dt=1e-8).n_inner == MAX_STEPS
 
     def test_precompensation_inverts_at_steady_state(self, nominal_params):
         # hold one torque command; realized motor torque approaches it

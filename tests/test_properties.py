@@ -22,6 +22,8 @@ from crosswind.model import delay_steps
 from crosswind.qpsolve import DEFAULT_TOL, QpProblem, check_kkt, solve_qp
 from crosswind.scenario import SCENARIO_SCHEMA, parse_scenario
 
+from conftest import capped_lagrangians
+
 BOUND_KINDS = ("box", "free", "lower_only", "upper_only", "pinned")
 
 
@@ -86,6 +88,15 @@ def test_qp_status_is_certified(p):
         assert lp_feasible(p)
     else:
         assert not lp_feasible(p)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(small_qps())
+def test_capped_solves_never_lower_the_lagrangian(p):
+    """The dual active-set method's Lagrangian, read at each iterate from the
+    solves capped at 1, 2, ... steps, does not decrease from one step to the next."""
+    _, values = capped_lagrangians(p)
+    assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
 
 
 # a PID, a band-QP MPC and a full-plant scenario, each cut to 2 s with its weight on at 1 s

@@ -7,6 +7,8 @@ from crosswind.harness import run_scenario
 from crosswind.qpsolve import QpProblem, QpWorkspace, check_kkt, constraint_stack, solve_qp
 from crosswind.scenario import load_bundled_scenario
 
+from conftest import capped_lagrangians
+
 
 def random_pd(rng, n, scale=1.0):
     A = rng.normal(size=(n, n))
@@ -154,10 +156,9 @@ class TestSolverBehavior:
         H = random_pd(rng, 4)
         f = np.array([5.0, -3.0, 2.0, 1.0])
         p = QpProblem(H=H, f=f, lower=np.full(4, -0.1), upper=np.full(4, 0.1))
-        sol = solve_qp(p, track_objective=True)
-        hist = sol.dual_objective_history
-        assert len(hist) >= 1
-        assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
+        _, values = capped_lagrangians(p)
+        assert len(values) >= 1
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_strong_duality_gap_closes(self, rng):
         for _ in range(20):
@@ -165,10 +166,10 @@ class TestSolverBehavior:
             H = random_pd(rng, n)
             f = rng.normal(scale=4.0, size=n)
             p = QpProblem(H=H, f=f, lower=np.full(n, -0.2), upper=np.full(n, 0.2))
-            sol = solve_qp(p, track_objective=True)
+            sol, values = capped_lagrangians(p)
             assert sol.status == "optimal"
-            if sol.dual_objective_history:
-                gap = abs(sol.dual_objective_history[-1] - sol.objective)
+            if values:
+                gap = abs(values[-1] - sol.objective)
                 assert gap < 1e-5 * max(1.0, abs(sol.objective))
 
     def test_scale_robustness(self, rng):
@@ -246,6 +247,21 @@ class TestValidation:
         ws = QpWorkspace(np.eye(1), rows=qp["rows"])
         with pytest.raises(InvalidParameterError):
             ws.solve(np.zeros(1), qp["lower"], qp["upper"], qp["row_lower"], qp["row_upper"])
+
+    @pytest.mark.parametrize("qp,match", [
+        ({"H": [[1.0, 0.0]]}, "H must be 1x1"),
+        ({"rows": [[1.0, 1.0]], "row_lower": [-1.0], "row_upper": [1.0]}, "with 1 columns"),
+        ({"lower": [-1.0, -1.0]}, "need 1 box bounds"),
+        ({"rows": [[1.0]], "row_lower": [-1.0, -1.0], "row_upper": [1.0, 1.0]}, "and 1 row"),
+    ])
+    def test_inputs_of_the_wrong_shape_rejected(self, qp, match):
+        qp = {"H": np.eye(1), "f": np.zeros(1), "lower": [-1.0], "upper": [1.0], "rows": None,
+              "row_lower": None, "row_upper": None, **qp}
+        with pytest.raises(InvalidParameterError, match=match):
+            QpProblem(**qp)
+        with pytest.raises(InvalidParameterError, match=match):
+            QpWorkspace(qp["H"], rows=qp["rows"]).solve(
+                qp["f"], qp["lower"], qp["upper"], qp["row_lower"], qp["row_upper"])
 
     def test_violated_zero_row_is_infeasible(self):
         # 0 u in [1, 2] was dropped as a zero row, and the solve reported optimal
@@ -407,13 +423,12 @@ class TestWorkspace:
         monkeypatch.undo()
         with_drops = 0
         for ws, (f, lo, hi, rl, ru) in calls:
-            sol = ws.solve(f, lo, hi, rl, ru, track_objective=True)
-            assert sol.status == "optimal"
             p = QpProblem(H=ws.H, f=f, lower=lo, upper=hi, rows=ws.rows,
                           row_lower=rl, row_upper=ru)
+            sol, values = capped_lagrangians(p, ws)
+            assert sol.status == "optimal"
             assert check_kkt(p, sol.u_star, sol.multipliers) <= 1e-8
-            hist = sol.dual_objective_history
-            assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(hist, hist[1:]))
+            assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
             # every iteration adds or drops one constraint
             with_drops += sol.iterations > np.count_nonzero(sol.multipliers)
         assert with_drops
