@@ -18,17 +18,11 @@ from .controllers import (
     shift_state,
 )
 from .errors import (
-    AreConvergenceError,
-    BufferLengthError,
     CrosswindError,
     InvalidParameterError,
-    NonIntegerDelayError,
     PlantDivergenceError,
     QpInfeasibleError,
     ScenarioError,
-    SingularInnovationError,
-    UnobservablePairError,
-    UnstablePoleError,
 )
 from .estimator import (
     KalmanConfig,

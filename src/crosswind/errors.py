@@ -8,36 +8,14 @@ class CrosswindError(Exception):
 class InvalidParameterError(CrosswindError, ValueError):
     """A physical or configuration parameter violates its constraints.
 
+    This covers every input the library cannot use, also one that admits no
+    design (an unobservable pair, a Riccati solve that does not converge).
     ``field`` names the rejected dataclass field or argument, when there is one.
     """
 
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
-
-
-class NonIntegerDelayError(InvalidParameterError):
-    """The input delay is not an integer multiple of the sampling interval."""
-
-
-class UnobservablePairError(CrosswindError, ValueError):
-    """Observer design requested for an unobservable (A, C) pair."""
-
-
-class UnstablePoleError(InvalidParameterError):
-    """Requested observer poles lie on or outside the unit circle."""
-
-
-class AreConvergenceError(CrosswindError, RuntimeError):
-    """Riccati fixed-point iteration failed to converge."""
-
-
-class SingularInnovationError(CrosswindError, ValueError):
-    """Innovation covariance C P C^T + R is not positive."""
-
-
-class BufferLengthError(CrosswindError, ValueError):
-    """Delayed-input buffer length does not match the model delay."""
 
 
 class QpInfeasibleError(CrosswindError, RuntimeError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonIntegerDelayError
+from .errors import InvalidParameterError
 
 # Singular values below this fraction of the largest count as zero when
 # computing numerical rank.
@@ -190,8 +190,9 @@ def delay_steps(Td: float, Ts: float) -> int:
     """Number of Ts steps in the input delay Td: a whole number, at most MAX_STEPS."""
     ratio = Td / Ts
     if not (0 <= ratio < MAX_STEPS + 0.5 and abs(ratio - round(ratio)) <= 1e-9):  # NaN fails
-        raise NonIntegerDelayError(f"input delay {Td} s is not an integer multiple of Ts={Ts} s, "
-                                   f"at most {MAX_STEPS} of them (ratio {ratio})", "input_delay_Td")
+        raise InvalidParameterError(f"input delay {Td} s is not an integer multiple of Ts={Ts} s, "
+                                    f"at most {MAX_STEPS} of them (ratio {ratio})",
+                                    "input_delay_Td")
     return round(ratio)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BufferLengthError, InvalidParameterError, PlantDivergenceError
+from .errors import InvalidParameterError, PlantDivergenceError
 from .model import MAX_STEPS, DiscreteModel, RollPlantParams
 
 LB_TO_N = 4.44822  # pounds-force to newtons
@@ -227,7 +227,7 @@ class InputBuffer:
         if self._reader is not stack:
             kd = stack.M_shift.shape[1]
             if kd != len(self._q):
-                raise BufferLengthError(
+                raise InvalidParameterError(
                     f"buffer holds {len(self._q)} commands, model delay is {kd}")
             self._h = tuple((stack.M_shift @ self.as_array()).tolist())
             self._coeffs, self._reader, self._left = stack.push_coeffs, stack, kd

@@ -220,6 +220,7 @@ def parse_scenario(text: str, overrides: dict | None = None) -> ScenarioConfig:
     # no header names the empty section, so a [DEFAULT] section is an unknown one
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), strict=True,
                                        interpolation=None, default_section="")
+    parser.optionxform = str  # keys are read as written: the schema's are lowercase
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -19,7 +19,7 @@ from crosswind.controllers import (
     pid_step,
     shift_state,
 )
-from crosswind.errors import BufferLengthError, InvalidParameterError, QpInfeasibleError
+from crosswind.errors import InvalidParameterError, QpInfeasibleError
 from crosswind.model import RollPlantParams, continuous_roll_model, discretize_zoh
 from crosswind.plant import InputBuffer, RollState, step_simplified_plant
 from crosswind.qpsolve import QpWorkspace
@@ -180,7 +180,7 @@ class TestShiftState:
         assert abs(a.theta - b.theta) > 1e-9
 
     def test_length_mismatch_rejected(self, stack):
-        with pytest.raises(BufferLengthError):
+        with pytest.raises(InvalidParameterError, match="buffer holds 3 commands, model delay is "):
             shift_state(RollState(), InputBuffer(3), stack)
 
 

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from crosswind.errors import (
-    InvalidParameterError,
-    SingularInnovationError,
-    UnobservablePairError,
-    UnstablePoleError,
-)
+from crosswind.errors import InvalidParameterError
 from crosswind.estimator import (
+    ARE_TOL,
     KalmanConfig,
     ObserverState,
     are_residual,
@@ -63,13 +59,14 @@ class TestPolePlacement:
 
     def test_unobservable_rejected(self, nominal_dm):
         dm0 = DiscreteModel(A=nominal_dm.A, B=np.zeros((2, 1)), Ts=0.1, kd=10)
-        with pytest.raises(UnobservablePairError):
+        with pytest.raises(InvalidParameterError, match=r"is not observable; cannot place poles"):
             place_observer_gain(augment(dm0), DESIGN_POLES)
 
     def test_unstable_poles_rejected(self, nominal_am):
-        with pytest.raises(UnstablePoleError):
+        with pytest.raises(InvalidParameterError, match="must lie inside the unit circle"):
             place_observer_gain(nominal_am, (0.65, 0.7, 1.0))
-        with pytest.raises(UnstablePoleError):  # gave an all-NaN gain
+        # a NaN pole gave an all-NaN gain
+        with pytest.raises(InvalidParameterError, match="must lie inside the unit circle"):
             place_observer_gain(nominal_am, (float("nan"), 0.7, 0.75))
 
     def test_unpaired_complex_poles_rejected(self, nominal_am):
@@ -127,6 +124,16 @@ class TestFilterAre:
             KalmanConfig(R=float("inf"))
         with pytest.raises(InvalidParameterError, match="Q must be finite"):
             KalmanConfig(Q=np.diag([1.0, float("inf"), 1.0]))
+        with pytest.raises(InvalidParameterError, match="finite reciprocal") as info:
+            KalmanConfig(R=np.float64(1e-310))  # C'C / R overflowed
+        assert info.value.field == "R"
+
+    @pytest.mark.parametrize("r", [1e-300, 1e-100, 3e8, 1e100, 1e300])
+    def test_every_r_converges_within_the_doubling_cap(self, nominal_am, r):
+        # the cap counted one-step iterations, so R = 3e8 and up did not converge
+        kc = KalmanConfig(R=r)
+        P = solve_filter_are(nominal_am, kc)
+        assert np.all(np.isfinite(P)) and are_residual(nominal_am, kc, P) < ARE_TOL
 
 
 class TestKalmanGain:
@@ -146,13 +153,13 @@ class TestKalmanGain:
         L_nom = kalman_gain(nominal_am, P, kc.R).L
         big_r = 1e12 * np.trace(kc.Q)
         # the weakly-corrected recursion needs ~1e6 equivalent one-step iterations
-        kc_big = KalmanConfig(Q=kc.Q, R=big_r, are_max_iters=10**9)
+        kc_big = KalmanConfig(Q=kc.Q, R=big_r)
         P_big = solve_filter_are(nominal_am, kc_big)
         L_big = kalman_gain(nominal_am, P_big, big_r).L
         assert np.linalg.norm(L_big) < 1e-3 * np.linalg.norm(L_nom)
 
     def test_singular_innovation_rejected(self, nominal_am):
-        with pytest.raises(SingularInnovationError):
+        with pytest.raises(InvalidParameterError, match=r"C P C' \+ R = 0.0 must be positive"):
             kalman_gain(nominal_am, np.zeros((3, 3)), 0.0)
 
 

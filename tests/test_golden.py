@@ -1,7 +1,8 @@
 """Golden-trace gate: the theta and cmd_torque columns of every bundled
 scenario stay within 1e-9 of the CSVs in tests/golden, which
-tests/golden/make_golden.py wrote before the last change of solver or loop;
-and the tolerance rule of tests/golden/compare_traces.py --atol."""
+tests/golden/make_golden.py wrote before the last change of solver or loop,
+and each run makes its pinned number of QP solves; and the tolerance rule of
+tests/golden/compare_traces.py --atol."""
 
 import importlib.util
 from pathlib import Path
@@ -10,22 +11,34 @@ import numpy as np
 import pytest
 
 from crosswind.harness import run_scenario
+from crosswind.qpsolve import QpWorkspace
 from crosswind.scenario import bundled_scenario_names, load_bundled_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ATOL = 1e-9
+# QpWorkspace.solve calls in a run at the scenario's own seed; a constrained
+# MPC step calls it only when a bound binds, so every other scenario makes none
+QP_SOLVES = {"mpc_tight_limit_weight_step": 165}
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
-def test_trace_matches_golden(name):
+def test_trace_matches_golden(name, monkeypatch):
     path = GOLDEN_DIR / f"{name}.csv"
     assert path.read_text(encoding="utf-8").splitlines()[0] == "theta,cmd_torque"
     golden = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    solve, solves = QpWorkspace.solve, []
+
+    def counted_solve(self, *args, **kwargs):
+        solves.append(name)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(QpWorkspace, "solve", counted_solve)
     trace = run_scenario(load_bundled_scenario(name))
     got = np.array([[r.theta, r.cmd_torque] for r in trace])
     assert got.shape == golden.shape
     err = np.max(np.abs(got - golden), axis=0)
     assert np.all(err <= ATOL), f"{name}: max deviation theta {err[0]:.3e}, cmd_torque {err[1]:.3e}"
+    assert len(solves) == QP_SOLVES.get(name, 0)
 
 
 def _compare_traces():

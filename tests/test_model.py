@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from crosswind.errors import InvalidParameterError, NonIntegerDelayError
+from crosswind.errors import InvalidParameterError
 from crosswind.model import (
     AugmentedModel,
     ContinuousModel,
@@ -119,7 +119,7 @@ class TestDiscretizeZoh:
         assert np.max(np.abs(np.sort_complex(lam_d) - np.sort_complex(expected))) < 1e-8
 
     def test_fractional_delay_rejected(self, nominal_cm):
-        with pytest.raises(NonIntegerDelayError):
+        with pytest.raises(InvalidParameterError, match="is not an integer multiple of Ts"):
             discretize_zoh(nominal_cm, Ts=0.1, Td=0.55)
 
     def test_bad_ts_rejected(self, nominal_cm):

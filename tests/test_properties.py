@@ -11,7 +11,7 @@ import tempfile
 from importlib import resources
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -99,10 +99,17 @@ def test_capped_solves_never_lower_the_lagrangian(p):
     assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
 
 
-# a PID, a band-QP MPC and a full-plant scenario, each cut to 2 s with its weight on at 1 s
-SHORT_BASES = ("fig8_pid_weight_step", "mpc_tight_limit_weight_step", "fullplant_weight_step")
+# a PID, a band-QP MPC, a full-plant and a Kalman-filter scenario, each cut to 2 s with
+# its weight on at 1 s
+SHORT_BASES = ("fig8_pid_weight_step", "mpc_tight_limit_weight_step", "fullplant_weight_step",
+               "fig7_estimator_weights_kalman")
 SCHEMA_KEYS = [(section, key) for section, keys in SCENARIO_SCHEMA.items() for key in keys]
 BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300", "", "%", "%(ts)s", "zz")
+# a "floats" key may get three tokens: one of BAD_VALUES among two of these. Those keys
+# are drawn four times as often as the others, so that such values come up.
+FINITE_TOKENS = ("0.0001", "0.15", "0.7", "3e8")
+EDIT_KEYS = SCHEMA_KEYS + [(section, key) for section, key in SCHEMA_KEYS
+                           if SCENARIO_SCHEMA[section][key][0] == "floats"] * 3
 # one document in four gets a [DEFAULT] or an unknown section
 EXTRA_SECTIONS = ("",) * 9 + ("[DEFAULT]\nts = 0.2\n", "[DEFAULT]\nfoo = 1\n", "[extra]\nfoo = 1\n")
 # the trace columns of the plant, the command and the disturbance
@@ -112,26 +119,40 @@ FINITE_COLUMNS = ("theta", "theta_dot", "wingtip_disp", "cmd_torque", "applied_t
 _NAMED = re.compile(r"([a-z_]+)(?:\.([a-z_]+))?[:,] ")
 
 
-def _short_copy(name: str) -> configparser.RawConfigParser:
+def short_document(name: str, edits=(), extra: str = "") -> tuple:
+    """(text, extra): the bundled scenario cut to 2 s, with ``edits`` of
+    ((section, key), value) applied and the ``extra`` section appended."""
     doc = configparser.RawConfigParser()
     doc.read_string((resources.files("crosswind") / "scenarios" / f"{name}.cfg")
                     .read_text(encoding="utf-8"))
     doc.read_dict({"scenario": {"duration": "2.0"}, "weights": {"schedule": "1:15"}})
-    return doc
+    for (section, key), value in edits:
+        doc.read_dict({section: {key: value}})
+    text = io.StringIO()
+    doc.write(text)
+    return text.getvalue() + extra, extra
+
+
+@st.composite
+def bad_edits(draw):
+    """((section, key), value): a bad value, or for a "floats" key sometimes
+    three tokens with one bad token among finite ones."""
+    section, key = draw(st.sampled_from(EDIT_KEYS))
+    value = draw(st.sampled_from(BAD_VALUES))
+    if SCENARIO_SCHEMA[section][key][0] == "floats" and draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(FINITE_TOKENS), min_size=2, max_size=2))
+        tokens.insert(draw(st.integers(0, 2)), value)
+        value = " ".join(tokens)
+    return (section, key), value
 
 
 @st.composite
 def scenario_documents(draw):
     """A short bundled scenario with one or two keys set to a bad value, and
     sometimes a [DEFAULT] or an unknown section; returns (text, extra section)."""
-    doc = _short_copy(draw(st.sampled_from(SHORT_BASES)))
-    edits = st.tuples(st.sampled_from(SCHEMA_KEYS), st.sampled_from(BAD_VALUES))
-    for (section, key), value in draw(st.lists(edits, min_size=1, max_size=2)):
-        doc.read_dict({section: {key: value}})
-    text = io.StringIO()
-    doc.write(text)
-    extra = draw(st.sampled_from(EXTRA_SECTIONS))
-    return text.getvalue() + extra, extra
+    return short_document(draw(st.sampled_from(SHORT_BASES)),
+                          draw(st.lists(bad_edits(), min_size=1, max_size=2)),
+                          draw(st.sampled_from(EXTRA_SECTIONS)))
 
 
 def _cli_exit(text: str) -> tuple:
@@ -145,6 +166,11 @@ def _cli_exit(text: str) -> tuple:
     return code, err.getvalue()
 
 
+# a Q too large for the Riccati solve's norms: a RuntimeWarning at parse, on either estimator
+@example(short_document("fig7_estimator_weights_kalman",
+                        [(("estimator_params", "q_diag"), "0.0001 0.15 1e300")]))
+@example(short_document("mpc_tight_limit_weight_step",
+                        [(("estimator_params", "q_diag"), "0.0001 0.15 1e300")]))
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(scenario_documents())
 def test_scenario_input_runs_or_fails_by_key(document):

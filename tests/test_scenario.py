@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crosswind.cli import main as cli_main
-from crosswind.errors import InvalidParameterError, NonIntegerDelayError, ScenarioError
+from crosswind.errors import InvalidParameterError, ScenarioError
 from crosswind.harness import compute_metrics, run_scenario
 from crosswind.model import MAX_STEPS
 from crosswind.plant import TorqueSchedule, WindTorqueMap, wind_speed_to_torque
@@ -131,6 +131,20 @@ schedule = 10:15, 35:0
         with pytest.raises(ScenarioError, match="unknown key"):
             parse_scenario("[scenario]\nwarp_drive = on\n")
 
+    @pytest.mark.parametrize("line", ["DURATION = 2", "Ts = 0.1"])
+    def test_keys_are_read_as_written(self, line, tmp_path, capsys):
+        # a document's keys were lowercased, an override's were not
+        key = line.split()[0]
+        named = f"unknown key scenario.{key}"
+        with pytest.raises(ScenarioError, match=re.escape(named)):
+            parse_scenario(f"[scenario]\n{line}\n")
+        path = tmp_path / "upper.cfg"
+        path.write_text(f"[scenario]\n{line}\n", encoding="utf-8")
+        assert cli_main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+        with pytest.raises(ScenarioError, match=re.escape(f"scenario.{key}")):
+            load_bundled_scenario("fig8_pid_weight_step", overrides={f"scenario.{key}": "2"})
+
     def test_comm_delay_is_an_unknown_key(self):
         # the communication delay is part of plant_params.input_delay
         with pytest.raises(ScenarioError, match="unknown key motor.comm_delay"):
@@ -230,6 +244,7 @@ schedule = 5:10
         ("estimator_params.r", "nan"),  # the error did not name the key
         ("estimator_params.q_diag", "nan 0.15 3e8"),  # was "Q must be symmetric"
         ("estimator_params.r", "-1"),  # each of these reached the CLI without its key
+        ("estimator_params.r", "1e-310"),  # C'C / R overflowed with a RuntimeWarning
         ("plant_params.inertia", "nan"),
         ("plant_params.torque_limit", "inf"),
         ("motor.resistance", "0"),
@@ -304,8 +319,9 @@ schedule = 5:10
         assert parse_scenario(text, overrides={"motor.inner_dt": "4e-6"}).inner_dt == 4e-6
 
     @pytest.mark.parametrize("name,key,value,section", [
-        # an AreConvergenceError traceback
-        ("fig7_estimator_weights_kalman", "estimator_params.r", "1e300", "estimator_params"),
+        # RuntimeWarnings from the Riccati solve's overflowing norms
+        ("fig7_estimator_weights_kalman", "estimator_params.q_diag", "0.0001 0.15 1e300",
+         "estimator_params"),
         # "(A_aug, C_aug) is not observable", without a key
         ("fig8_mpc_weight_step", "plant_params.inertia", "1e300", "estimator_params"),
         # "H must be positive definite", without a key
@@ -330,13 +346,14 @@ schedule = 5:10
         err = capsys.readouterr().err
         assert all(f"plant_params.{k}" in err for k in ("inertia", "stiffness", "damping"))
 
-    @pytest.mark.parametrize("ts,error", [(0.3, NonIntegerDelayError), (0.0, InvalidParameterError)])
-    def test_unparsed_timing_error_is_not_relabelled(self, ts, error):
+    @pytest.mark.parametrize("ts,field", [(0.3, "input_delay_Td"), (0.0, "Ts")])
+    def test_unparsed_timing_error_is_not_relabelled(self, ts, field):
         # a config built without parsing rejects a bad delay or Ts as it is
         # built, with the delay's and Ts's own errors
         cfg = load_bundled_scenario("fig9_pid_weight_square")
-        with pytest.raises(error) as info:
+        with pytest.raises(InvalidParameterError) as info:
             dataclasses.replace(cfg, Ts=ts)
+        assert info.value.field == field
         assert not isinstance(info.value, ScenarioError)
 
     def test_output_bounds_must_pair(self):
