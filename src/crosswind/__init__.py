@@ -6,6 +6,7 @@ compensating MPC, a PID baseline, and a batch simulation harness.
 """
 
 from .controllers import (
+    ActiveSets,
     MpcConfig,
     PidConfig,
     PidState,

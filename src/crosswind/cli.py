@@ -2,7 +2,8 @@
 
 Scenario arguments are file paths, or names of bundled scenarios when no
 such file exists (see ``crosswind scenarios``). Exit codes: 0 success,
-1 parse/validation failure or another library error, 2 runtime divergence.
+1 a usage error, a parse/validation failure or another library error,
+2 runtime divergence.
 """
 
 from __future__ import annotations
@@ -93,8 +94,16 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error on one ``error: `` line and exit status 1,
+    since 2 is the plant-divergence status."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crosswind",
         description="Batch simulation of the crosswind roll-stabilization loop",
     )
@@ -117,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp = sub.add_parser("sweep", help="re-run a scenario over parameter values")
     p_swp.add_argument("scenario")
     p_swp.add_argument("--param", required=True, help="dotted key, e.g. mpc.control_weight")
-    p_swp.add_argument("--values", required=True, help="comma-separated values")
+    p_swp.add_argument("--values", required=True,
+                       help="comma-separated values; a value of several tokens has spaces "
+                       "between them, e.g. '10:15 20:0,10:20'")
     p_swp.add_argument("--band", type=float, default=DEFAULT_BAND)
     p_swp.set_defaults(func=cmd_sweep)
 

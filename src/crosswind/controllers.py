@@ -29,6 +29,8 @@ from .qpsolve import DEFAULT_TOL, QpProblem, QpWorkspace, solve_qp  # noqa: F401
 # its bound, and its memory with the horizon squared (at 1000 a run peaks near 120 MB)
 MAX_DERIVATIVE_WINDOW = 1000
 MAX_HORIZON = 1000
+# the active sets an ActiveSets table keeps; each new one overwrites the oldest
+MAX_STARTS = 16
 
 # ---------------------------------------------------------------------------
 # PID
@@ -254,8 +256,35 @@ def mpc_unconstrained_step(x: RollState, buf: InputBuffer, stack: PredictionStac
     return min(max(u0, -torque_limit + wind_estimate), torque_limit + wind_estimate)
 
 
+class ActiveSets:
+    """One run's table of optimal QP active sets, each stored under the
+    v0 = u - w of its step: the unconstrained minimizer u = -L xs less the
+    wind estimate w, by which the box is shifted. It keeps the last
+    ``MAX_STARTS`` sets and allocates its keys at the first store.
+    """
+
+    def __init__(self):
+        self.keys, self.sets, self.stored = None, [None] * MAX_STARTS, 0
+
+    def nearest(self, v0: np.ndarray):
+        """The set stored under the key nearest to v0 (squared Euclidean), or None."""
+        if not self.stored:
+            return None
+        d = self.keys[:self.stored] - v0
+        return self.sets[int(np.einsum("ij,ij->i", d, d).argmin())]
+
+    def store(self, v0: np.ndarray, active: np.ndarray) -> None:
+        """Store ``active`` under v0, in place of the oldest set once the table is full."""
+        if self.keys is None:
+            self.keys = np.empty((MAX_STARTS, v0.size))
+        k = self.stored % MAX_STARTS
+        self.keys[k], self.sets[k] = v0, active
+        self.stored += 1
+
+
 def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
-                         cfg: MpcConfig, wind_estimate: float = 0.0) -> float:
+                         cfg: MpcConfig, wind_estimate: float = 0.0,
+                         starts: ActiveSets | None = None) -> float:
     """Receding-horizon step of the box(+output)-constrained QP.
 
     When u = -L xs, the QP's minimizer if no bound binds, passes the
@@ -263,6 +292,11 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
     F = Phi xs), u[0] is the command. Otherwise the step forms f and the
     bounds and solves the QP on ``stack.qp`` (``crosswind.qpsolve``). F is
     formed only for an output band or the QP.
+
+    With a ``starts`` table the solve starts from the active set stored
+    under the key nearest to this step's u - wind_estimate, and an optimal
+    solve stores its own active set there. The command then agrees with a
+    cold solve's to rounding; without a table every solve starts cold.
 
     Raises QpInfeasibleError, carrying the solver status, when the QP is
     not solved to optimality (possible with tight output constraints);
@@ -297,8 +331,14 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
                     and (row_lower - y <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_lower))).all()):
                 return float(u[0])
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
-    sol = stack.qp.solve(f, np.full(cfg.Np, lower), np.full(cfg.Np, upper), row_lower,
-                         row_upper)
+    problem = (f, np.full(cfg.Np, lower), np.full(cfg.Np, upper), row_lower, row_upper)
+    if starts is None:
+        sol = stack.qp.solve(*problem)
+    else:
+        v0 = u - wind_estimate
+        sol = stack.qp.solve(*problem, start=starts.nearest(v0))
+        if sol.status == "optimal":
+            starts.store(v0, np.flatnonzero(sol.multipliers))
     if sol.status != "optimal":
         raise QpInfeasibleError(f"MPC quadratic program ended with status {sol.status!r}",
                                 status=sol.status)

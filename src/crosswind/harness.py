@@ -35,7 +35,7 @@ QP_OPTIMAL = "optimal"
 QP_FALLBACK = "infeasible_fallback"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen record takes four times as long to build
 class TraceRecord:
     """One control step of a scenario run; wingtip_disp = theta * d/2."""
 
@@ -145,9 +145,12 @@ def _controller(cfg: ScenarioConfig, dm, buffer: InputBuffer):
         return lambda y, observer, wind_ff: (
             closed_form(observer, buffer, stack, limit, wind_estimate=wind_ff), QP_NONE)
 
+    starts = ctrl.ActiveSets()  # this run's own, so no trace depends on an earlier run
+
     def qp(y, observer, wind_ff):
         try:
-            return constrained(observer, buffer, stack, mpc_cfg, wind_estimate=wind_ff), QP_OPTIMAL
+            return (constrained(observer, buffer, stack, mpc_cfg, wind_estimate=wind_ff,
+                                starts=starts), QP_OPTIMAL)
         except QpInfeasibleError:
             return closed_form(observer, buffer, stack, limit, wind_estimate=wind_ff), QP_FALLBACK
 

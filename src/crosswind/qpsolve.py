@@ -16,12 +16,18 @@ new constraint depends linearly on the active ones. It ends in finitely
 many steps, and a violated constraint that cannot be added proves the
 QP infeasible. Certificates are verifiable with ``check_kkt``.
 
-Every solve starts cold from the unconstrained minimizer, so its result
-depends only on its inputs (there are no warm starts). Within a solve
-the loop keeps two n x n buffers: the inverse of M_A inv(2H) M_A' for
-the active constraints M_A, bordered on an add and downdated on a drop,
-and the rows of M_A inv(2H), which give each primal direction as one
-vector-matrix product.
+A solve starts cold, from the unconstrained minimizer, unless it is
+given a ``start``: stacked constraints to begin with as active, such as
+the active set of a nearby QP. The dual method can begin at any active
+set of independent normals whose multipliers are all >= 0, so a start
+drops its constraints with a +inf bound, falls back to a cold start if
+the rest fail the loop's independence test, and drops every constraint
+whose multiplier comes out negative until none does. The loop then runs
+unchanged, and its result depends only on its inputs, the start
+included. Within a solve the loop keeps two n x n buffers: the inverse
+of M_A inv(2H) M_A' for the active constraints M_A, bordered on an add
+and downdated on a drop, and the rows of M_A inv(2H), which give each
+primal direction as one vector-matrix product.
 """
 
 from __future__ import annotations
@@ -87,6 +93,21 @@ def _stack_bounds(n: int, rows, lower, upper, row_lower, row_upper) -> np.ndarra
     return gamma
 
 
+def _start_set(start, usable: np.ndarray) -> np.ndarray:
+    """``start``'s constraints with a finite bound, as sorted stacked indices.
+
+    ``start`` must hold distinct integer indices below ``usable.size``.
+    """
+    idx = np.sort(np.asarray(start).ravel())
+    if idx.size and (idx.dtype.kind not in "iu" or idx[0] < 0 or idx[-1] >= usable.size):
+        raise InvalidParameterError(
+            f"start must hold indices of the {usable.size} stacked constraints")
+    if (idx[1:] == idx[:-1]).any():
+        raise InvalidParameterError("start must not repeat a constraint")
+    idx = idx.astype(np.intp, copy=False)
+    return idx[usable[idx]]
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """min u'Hu + f'u  s.t.  lower <= u <= upper, row_lower <= rows @ u <= row_upper."""
@@ -133,7 +154,7 @@ class QpSolution:
     u_star: np.ndarray
     objective: float
     kkt_residual: float
-    iterations: int
+    iterations: int  # active-set steps, counted from the start if one was given
     status: str  # optimal | infeasible | max_iters
     multipliers: np.ndarray
 
@@ -182,7 +203,7 @@ class QpWorkspace:
     """The fixed part of a family of QPs: H and the row matrix.
 
     Built once, it validates H and caches ``H2_inv`` = inv(2H), the one
-    inverse of H (every solve starts from exactly -inv(2H) f). For the
+    inverse of H (every solve begins at exactly -inv(2H) f). For the
     stacked constraints of ``constraint_stack`` it also caches the
     normals mapped through inv(2H) and their inner products. Every
     constraint normal is plus or minus a row of N = [I; rows], so only
@@ -211,10 +232,13 @@ class QpWorkspace:
         self._sign = np.repeat([1.0, -1.0, 1.0, -1.0], [n, n, k.size - n, k.size - n])
 
     def solve(self, f, lower, upper, row_lower=None, row_upper=None,
-              tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS) -> QpSolution:
+              tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
+              start=None) -> QpSolution:
         """Solve min u'Hu + f'u within the given bounds; see the module docstring.
 
         Row bounds are required exactly when the workspace has rows.
+        ``start``, if given, holds distinct indices of stacked constraints
+        (``constraint_stack`` order) to begin with as active.
         """
         n = self.n
         f = np.asarray(f, dtype=float).ravel()
@@ -228,10 +252,12 @@ class QpWorkspace:
         gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
         scale = np.maximum(1.0, np.abs(gamma))
         mask = np.where(usable, 0.0, -np.inf)
+        if start is not None:
+            start = _start_set(start, usable)
         # the ratio test divides by r, which may be 0 or small enough to overflow
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u, lam, iterations, status = self._dual_active_set(u, gamma, scale, mask, tol,
-                                                               max_iters)
+                                                               max_iters, start)
         slack = self._slack(u, gamma)
         viol_max = (slack / scale + mask).max()
         return QpSolution(u_star=u, objective=float(u @ self.H @ u + f @ u),
@@ -254,8 +280,10 @@ class QpWorkspace:
         comp = (np.abs(lam * slack) / np.maximum(scale, np.abs(lam))).max()
         return float(max(stationarity, viol_max, dual, comp))  # a negative viol_max never wins
 
-    def _dual_active_set(self, u, gamma, scale, mask, tol, max_iters):
-        """Goldfarb-Idnani iterations from the unconstrained minimizer.
+    def _dual_active_set(self, u, gamma, scale, mask, tol, max_iters, start):
+        """Goldfarb-Idnani iterations from the unconstrained minimizer ``u``, or
+        from what is kept of ``start`` (sorted, with finite bounds; see the
+        module docstring).
 
         The first ``a`` entries of ``act`` and ``lam_A`` hold the active
         constraints and their multipliers, ``base_A``/``sign_A``/``gamma_A``
@@ -275,6 +303,28 @@ class QpWorkspace:
         JT = np.zeros((n, n))
         S_inv = np.zeros((n, n))
         a = on_rows = 0  # on_rows: active constraints on rows, whose slack needs rows @ u
+        while start is not None and 0 < start.size <= n:
+            k, bA, sA = start.size, base[start], sign[start]
+            S_A = PT[bA[:, None], bA] * np.multiply.outer(sA, sA)  # M_A inv(2H) M_A'
+            try:
+                S_inv[:k, :k] = np.linalg.inv(S_A)
+            except np.linalg.LinAlgError:
+                break
+            # 1 / S_inv[j, j] is the curvature of start constraint j after projection
+            # off the others, which must pass the loop's independence test (NaN fails)
+            d = np.diagonal(S_inv)[:k]
+            if not ((d > 0.0) & (d * np.diagonal(S_A) < 1.0 / _DEPENDENT_REL)).all():
+                break
+            gamma_s = gamma[start]
+            lam_s = S_inv[:k, :k] @ (sA * np.concatenate((u, self._rows @ u))[bA] - gamma_s)
+            if (lam_s >= 0.0).all():  # dual feasible: begin here
+                a, on_rows = k, int(np.count_nonzero(bA >= n))
+                act[:a], base_A[:a], sign_A[:a], gamma_A[:a], lam_A[:a] = (start, bA, sA,
+                                                                             gamma_s, lam_s)
+                np.multiply(sA[:, None], WT[bA], out=JT[:a])
+                u = u - lam_s @ JT[:a]
+                break
+            start = start[lam_s >= 0.0]
         iterations, status = 0, "optimal"
         while status == "optimal":
             if a:  # undo the drift of the step updates: active constraints back on equality

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -178,10 +179,8 @@ def _convert(kind: str, raw: str, where: str):
             return tuple(float(tok) for tok in raw.replace(",", " ").split())
         if kind == "pairs":
             pairs = []
-            for tok in raw.split(","):
-                tok = tok.strip()
-                if not tok:
-                    continue
+            # pairs are separated by commas or spaces; a colon may have spaces around it
+            for tok in re.sub(r"\s*:\s*", ":", raw).replace(",", " ").split():
                 a, _, b = tok.partition(":")
                 pairs.append((float(a), float(b)))
             if not pairs:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crosswind.controllers import PredictionStack
 from crosswind.model import (
@@ -58,3 +59,42 @@ def capped_lagrangians(p: QpProblem, ws: QpWorkspace | None = None) -> tuple:
         u, lam = capped.u_star, capped.multipliers[usable]
         values.append(float(u @ p.H @ u + p.f @ u + lam @ (M @ u - gamma)))
     return sol, values
+
+
+BOUND_KINDS = ("box", "free", "lower_only", "upper_only", "pinned")
+
+
+@st.composite
+def small_qps(draw):
+    """A QP with n <= 6, a well-conditioned H, mixed box bounds and 0-4 row bands.
+
+    The row bands are drawn independently of the box, so some cannot be
+    met inside it and the QP is infeasible. Some rows are zero rows, whose
+    band holds for every u when it contains 0 and for none otherwise.
+    """
+    n = draw(st.integers(1, 6))
+
+    def floats(size, lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    B = floats(n * n, -1.0, 1.0).reshape(n, n)
+    H = B @ B.T + n * np.eye(n)  # eigenvalues in [n, 2n]: condition number at most 2
+    f = floats(n, -10.0, 10.0)
+    centre, width = floats(n, -3.0, 3.0), floats(n, 0.0, 2.0)
+    kinds = np.array(draw(st.lists(st.sampled_from(BOUND_KINDS), min_size=n, max_size=n)))
+    lower = np.where(np.isin(kinds, ("free", "upper_only")), -np.inf, centre - width)
+    upper = np.where(np.isin(kinds, ("free", "lower_only")), np.inf, centre + width)
+    pinned = kinds == "pinned"
+    lower[pinned] = upper[pinned] = centre[pinned]
+    m = draw(st.integers(0, 4))
+    if m == 0:
+        return QpProblem(H=H, f=f, lower=lower, upper=upper)
+    rows = floats(m * n, -1.0, 1.0).reshape(m, n)
+    rows[np.abs(rows) < 1e-6] = 0.0  # HiGHS reads tinier entries as 0; so both see one QP
+    rows[draw(st.lists(st.booleans(), min_size=m, max_size=m))] = 0.0
+    row_centre, row_width = floats(m, -6.0, 6.0), floats(m, 0.0, 2.0)
+    open_below, open_above = (np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+                              for _ in range(2))
+    return QpProblem(H=H, f=f, lower=lower, upper=upper, rows=rows,
+                     row_lower=np.where(open_below, -np.inf, row_centre - row_width),
+                     row_upper=np.where(open_above, np.inf, row_centre + row_width))

@@ -416,6 +416,37 @@ class TestMpcSteps:
             mpc_constrained_step(x, buf, st, cfg)
         assert err.value.status == "max_iters"
 
+    def test_a_table_warm_starts_the_next_solve(self, nominal_dm, monkeypatch):
+        """A step with a table passes the solver the set stored nearest to its
+        u - w, stores each optimal solve's active set, and commands what a step
+        without a table does; a step without one passes no start."""
+        cfg = make_mpc_cfg(Np=10, u_lim=50.0)
+        st = build_prediction(nominal_dm, cfg)
+        buf, table = InputBuffer(nominal_dm.kd), ctrl.ActiveSets()
+        solve, starts = QpWorkspace.solve, []
+
+        def recording(ws, *args, **kwargs):
+            starts.append(kwargs.get("start", "none passed"))
+            return solve(ws, *args, **kwargs)
+
+        monkeypatch.setattr(QpWorkspace, "solve", recording)
+        for theta in (0.05, 0.06):
+            x = RollState(theta=theta)
+            warm = mpc_constrained_step(x, buf, st, cfg, wind_estimate=5.0, starts=table)
+            cold = mpc_constrained_step(x, buf, st, cfg, wind_estimate=5.0)
+            assert warm == pytest.approx(cold, abs=1e-9)
+        assert starts[0] is None and starts[1] == starts[3] == "none passed"
+        assert table.stored == 2 and starts[2] is table.sets[0] and starts[2].size
+
+    def test_active_sets_keep_the_last_ones(self):
+        table = ctrl.ActiveSets()
+        assert table.nearest(np.zeros(2)) is None and table.keys is None
+        for k in range(ctrl.MAX_STARTS + 1):
+            table.store(np.full(2, float(k)), np.array([k]))
+        assert table.keys.shape == (ctrl.MAX_STARTS, 2)
+        assert table.nearest(np.full(2, -5.0)).tolist() == [1]  # 16 took the place of 0
+        assert table.nearest(np.full(2, 15.6)).tolist() == [16]
+
     def test_stack_and_config_must_agree_on_output_bounds(self, nominal_dm, stack):
         cfg = make_mpc_cfg(y_min=-0.01, y_max=0.01)
         with pytest.raises(InvalidParameterError):

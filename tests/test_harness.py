@@ -218,7 +218,9 @@ schedule = 10:15
         # the solver runs on exactly the steps where a bound binds
         assert len(steps) == len(trace)
         assert [solved for _, solved in steps] == [binds for binds, _ in steps]
-        binding = [s for s in solves if s[-1].iterations > 0 or s[-1].status != "optimal"]
+        # a solve warm-started at its optimum takes no step, so bind means a constraint
+        # is active there
+        binding = [s for s in solves if (s[-1].multipliers > 0).any() or s[-1].status != "optimal"]
         assert len(binding) == len(solves) >= 20
         for ws, lower, upper, row_lower, row_upper, sol in binding:
             lp = linprog(np.zeros(ws.n), A_ub=np.vstack([ws.rows, -ws.rows]),
@@ -227,6 +229,38 @@ schedule = 10:15
             if lp.status == 0:
                 assert sol.status == "optimal"
         assert {r.qp_status for r in trace} == {"optimal"}
+
+    def test_warm_starts_take_under_half_the_cold_steps(self, monkeypatch):
+        """The bundled band scenario's 165 solves, each warm-started from the run's
+        table, end as their cold solves do in under half the active-set steps."""
+        solve, solves = QpWorkspace.solve, []
+
+        def recording(ws, *args, **kwargs):
+            sol = solve(ws, *args, **kwargs)
+            solves.append((sol, solve(ws, *args)))
+            return sol
+
+        monkeypatch.setattr(QpWorkspace, "solve", recording)
+        run_scenario(load_bundled_scenario("mpc_tight_limit_weight_step"))
+        assert len(solves) == 165
+        for warm, cold in solves:
+            assert warm.status == cold.status == "optimal"
+            assert np.abs(warm.u_star - cold.u_star).max() <= 1e-9 * max(
+                1.0, np.abs(cold.u_star).max())
+        assert 2 * sum(w.iterations for w, _ in solves) < sum(c.iterations for _, c in solves)
+
+    @pytest.mark.parametrize("weight", ["1e-13", "1e-12", "1e-9", "1e200"])
+    def test_warm_starts_keep_the_qp_status(self, weight, monkeypatch):
+        """At control weights far from the default, where every cold solve is
+        optimal, the warm-started run flags the same steps as a cold one."""
+        cfg = load_bundled_scenario("mpc_tight_limit_weight_step",
+                                    overrides={"mpc.control_weight": weight})
+        warm = [r.qp_status for r in run_scenario(cfg)]
+        solve = QpWorkspace.solve
+        monkeypatch.setattr(QpWorkspace, "solve",
+                            lambda ws, *args, start=None, **kwargs: solve(ws, *args, **kwargs))
+        assert warm == [r.qp_status for r in run_scenario(cfg)]
+        assert set(warm) == {"optimal"}
 
     def test_feedforward_speeds_up_pid(self):
         """Feed-forward compensation also helps the PID loop."""
@@ -280,6 +314,18 @@ class TestDeterminism:
             write_trace(trace, str(p))
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_a_run_does_not_depend_on_an_earlier_run(self, tmp_path):
+        """The QP warm starts come from a table of the run's own, so a constrained
+        run after another one writes the same bytes as when it runs alone."""
+        first = load_bundled_scenario("mpc_tight_limit_weight_step",
+                                      overrides={"scenario.rng_seed": "5"})
+        then = load_bundled_scenario("mpc_tight_limit_weight_step")
+        alone, after = tmp_path / "alone.csv", tmp_path / "after.csv"
+        write_trace(run_scenario(then), str(alone))
+        run_scenario(first)
+        write_trace(run_scenario(then), str(after))
+        assert alone.read_bytes() == after.read_bytes()
 
     def test_seed_changes_noise(self):
         base = load_bundled_scenario("fig8_mpc_weight_step",
@@ -471,6 +517,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("settling_time_s") == 2
+
+    @pytest.mark.parametrize("param,value", [
+        ("weights.schedule", "10:15 20:0"),  # two pairs
+        ("estimator_params.poles", "0.6 0.7 0.75"),  # three poles
+    ])
+    def test_sweep_value_of_several_tokens(self, param, value, capsys):
+        code = cli_main(["sweep", "fig8_mpc_weight_step", "--param", param, "--values", value])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"{param}={value}: settling_time_s=")
+
+    @pytest.mark.parametrize("argv", [["run"], ["run", "fig2_pid_steady", "--band", "abc"]])
+    def test_usage_error_exits_1_on_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: crosswind" in capsys.readouterr().out
 
     def test_sweep_without_values_exits_1(self, capsys):
         code = cli_main(["sweep", "fig2_pid_steady", "--param", "scenario.rng_seed",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosswind.controllers import MpcConfig, build_prediction
 from crosswind.errors import InvalidParameterError
@@ -7,7 +9,7 @@ from crosswind.harness import run_scenario
 from crosswind.qpsolve import QpProblem, QpWorkspace, check_kkt, constraint_stack, solve_qp
 from crosswind.scenario import load_bundled_scenario
 
-from conftest import capped_lagrangians
+from conftest import capped_lagrangians, small_qps
 
 
 def random_pd(rng, n, scale=1.0):
@@ -492,3 +494,57 @@ class TestWorkspace:
                                                  np.array([1.0]))
         with pytest.raises(InvalidParameterError):
             QpWorkspace(np.diag([1.0, -1.0]))
+
+
+START_KINDS = ("subset", "both_sides", "infinite", "empty", "cold")
+
+
+@st.composite
+def started_qps(draw):
+    """(QP, start kind, start): a start of stacked constraint indices of one of
+    the ``START_KINDS``. ``both_sides`` holds the two sides of one box or row
+    bound among others, ``infinite`` every constraint with a +inf bound, and
+    ``cold`` the active set of the QP's cold solve."""
+    p, kind = draw(small_qps()), draw(st.sampled_from(START_KINDS))
+    gamma = constraint_stack(p)[1]
+    m, n = gamma.size, p.n
+    subset = draw(st.sets(st.integers(0, m - 1), max_size=2 * n))
+    if kind == "subset":
+        start = subset
+    elif kind == "both_sides":
+        k = draw(st.integers(0, (m - 1) // 2))  # the upper side of box bound or row k - n
+        pair = {k, k + n} if k < n else {n + k, n + k + (m - 2 * n) // 2}
+        start = subset | pair
+    elif kind == "infinite":
+        start = subset | set(np.flatnonzero(gamma == np.inf).tolist())
+    elif kind == "empty":
+        start = set()
+    else:
+        start = set(np.flatnonzero(solve_qp(p).multipliers).tolist())
+    return p, kind, sorted(start)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(started_qps())
+def test_a_warm_start_reaches_the_cold_solution(case):
+    """From any start the solve ends with the cold solve's status, and an optimal
+    one at its minimizer with a KKT certificate; the cold solve's own active set
+    is already optimal, so it takes no step."""
+    p, kind, start = case
+    ws = QpWorkspace(p.H, p.rows)
+    bounds = (p.lower, p.upper, p.row_lower, p.row_upper)
+    cold, warm = ws.solve(p.f, *bounds), ws.solve(p.f, *bounds, start=start)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        scale = max(1.0, np.abs(cold.u_star).max())
+        assert np.abs(warm.u_star - cold.u_star).max() <= 1e-9 * scale
+        assert check_kkt(p, warm.u_star, warm.multipliers) <= 1e-8
+        if kind == "cold":
+            assert warm.iterations == 0
+
+
+@pytest.mark.parametrize("start", [[6], [-1], [0, 0], [1.0], [[0, 1], [1, 2]]])
+def test_a_start_of_bad_indices_is_rejected(start):
+    ws = QpWorkspace(np.eye(1), rows=np.ones((2, 1)))
+    with pytest.raises(InvalidParameterError, match="start"):
+        ws.solve(np.zeros(1), [-1.0], [1.0], [-1.0, -1.0], [1.0, 1.0], start=start)

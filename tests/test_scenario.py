@@ -76,6 +76,12 @@ schedule = 10:15, 35:0
             ((10.0, 15.0), (35.0, 0.0)), "right", cfg.plant_params)
         assert cfg.disturbance.at(12.0) > 0
 
+    @pytest.mark.parametrize("schedule", ["10:15 35:0", "10 : 15,35: 0", " 10:15 ,  35:0 "])
+    def test_pairs_are_separated_by_commas_or_spaces(self, schedule):
+        cfg = parse_scenario(f"[weights]\nside = right\nschedule = {schedule}\n")
+        assert cfg.disturbance == TorqueSchedule.from_weights(
+            ((10.0, 15.0), (35.0, 0.0)), "right", cfg.plant_params)
+
     @pytest.mark.parametrize("schedule", ["10:5, 10:15"])
     def test_changes_within_one_control_step_are_one_event(self, schedule):
         cfg = load_bundled_scenario("fig8_mpc_weight_step",
