@@ -191,11 +191,11 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
     powers = [np.eye(2)]
     for _ in range(Np):
         powers.append(A @ powers[-1])
-    Phi = np.vstack([C @ powers[j] for j in range(1, Np + 1)])
-    first_col = np.array([(C @ powers[j] @ B)[0, 0] for j in range(Np)])
-    G = np.zeros((Np, Np))
-    for i in range(Np):
-        G[i, : i + 1] = first_col[: i + 1][::-1]
+    CA = C @ np.array(powers)  # C A^j for j = 0 ... Np
+    Phi = CA[1:].reshape(-1, 2)
+    first_col = (CA[:-1] @ B)[:, 0, 0]  # C A^j B: the impulse response
+    k = np.arange(Np)
+    G = np.tril(first_col[k[:, None] - k])  # G[i, j] = first_col[i - j] for j <= i
     H = G.T @ (cfg.Qc_diag[:, None] * G) + np.diag(cfg.Rc_diag)
     qp = QpWorkspace(H, rows=G if cfg.y_min is not None else None)
     H_inv = 2.0 * qp.H2_inv  # scaling by 2 is exact: this is inv(H) to the bit

@@ -26,8 +26,13 @@ whose multiplier comes out negative until none does. The loop then runs
 unchanged, and its result depends only on its inputs, the start
 included. Within a solve the loop keeps two n x n buffers: the inverse
 of M_A inv(2H) M_A' for the active constraints M_A, bordered on an add
-and downdated on a drop, and the rows of M_A inv(2H), which give each
-primal direction as one vector-matrix product.
+and computed afresh at the start and on a drop, and the rows of
+M_A inv(2H), which give each primal direction as one vector-matrix
+product.
+
+The loop runs on H 2^-e, e the exponent of max|H|, so its largest entry
+lies in [0.5, 1) at any scale of H. The power-of-two scaling is exact,
+and the multipliers are scaled back by 2^e on the way out.
 """
 
 from __future__ import annotations
@@ -50,8 +55,7 @@ _DEPENDENT_REL = 1e-12
 def _check_hessian(H: np.ndarray, n: int) -> None:
     if H.shape != (n, n):
         raise InvalidParameterError(f"H must be {n}x{n}, got {H.shape}")
-    scale = max(1.0, float(np.max(np.abs(H))))
-    if np.max(np.abs(H - H.T)) > 1e-10 * scale:
+    if np.max(np.abs(H - H.T)) > 1e-10 * np.max(np.abs(H)):
         raise InvalidParameterError("H must be symmetric")
     try:
         np.linalg.cholesky(H)
@@ -175,9 +179,10 @@ def constraint_stack(p: QpProblem):
 def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
     """Max of scaled stationarity, primal, dual, complementarity violations.
 
-    Stationarity is normalized by the gradient magnitude so the
-    certificate is invariant to uniform scaling of (H, f); primal and
-    complementarity terms are normalized per-row by max(1, |bound|).
+    Stationarity 2Hu + f + M'lam is normalized by the size of its terms,
+    max(1, |2Hu|, |f|, |M'lam|), so the certificate is invariant to
+    uniform scaling of (H, f); primal and complementarity terms are
+    normalized per-row by max(1, |bound|).
     """
     u = np.asarray(u, dtype=float).ravel()
     lam = np.asarray(multipliers, dtype=float).ravel()
@@ -186,10 +191,10 @@ def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
         raise InvalidParameterError(f"expected {gamma.size} multipliers, got {lam.size}")
     usable = gamma < np.inf
     gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out below
-    grad = 2.0 * p.H @ u + p.f
-    stat_raw = grad + M.T @ lam
-    stat_scale = max(1.0, np.max(np.abs(grad)), np.max(np.abs(M.T @ lam)))
-    stationarity = np.max(np.abs(stat_raw)) / stat_scale
+    Hu2 = 2.0 * p.H @ u
+    M_lam = M.T @ lam
+    stat_scale = max(1.0, np.max(np.abs(Hu2)), np.max(np.abs(p.f)), np.max(np.abs(M_lam)))
+    stationarity = np.max(np.abs(Hu2 + p.f + M_lam)) / stat_scale
     slack = M @ u - gamma
     row_scale = np.maximum(1.0, np.abs(gamma))
     primal = max(0.0, np.max(np.where(usable, slack / row_scale, -np.inf)))
@@ -207,8 +212,8 @@ class QpWorkspace:
     stacked constraints of ``constraint_stack`` it also caches the
     normals mapped through inv(2H) and their inner products. Every
     constraint normal is plus or minus a row of N = [I; rows], so only
-    N's products are stored. ``solve`` is stateless: the same inputs
-    give the same bits.
+    N's products W = inv(2H) N' 2^e and P = N W, for the loop's H 2^-e,
+    are stored. ``solve`` is stateless: the same inputs give the same bits.
     """
 
     def __init__(self, H, rows=None):
@@ -221,9 +226,12 @@ class QpWorkspace:
         self.n = n
         self.H2_inv = np.linalg.inv(2.0 * H)
         self.H2_inv.setflags(write=False)
-        # row k of _WT / _PT: column k of W = inv(2H) N' / of P = N W
+        # the loop's Hessian H 2^-e, with largest entry in [0.5, 1)
+        self._e = math.frexp(float(np.max(np.abs(H))))[1]
+        self._Hs = np.ldexp(H, -self._e)
+        # row k of _WT / _PT: column k of W = inv(2H) N' 2^e / of P = N W
         N = np.vstack([np.eye(n), self._rows])
-        W = self.H2_inv @ N.T
+        W = np.ldexp(self.H2_inv, self._e) @ N.T
         self._PT = np.ascontiguousarray((N @ W).T)
         self._WT = np.ascontiguousarray(W.T)
         # stacked constraint k is sign[k] times row base[k] of N
@@ -272,13 +280,23 @@ class QpWorkspace:
     def _kkt_residual(self, u, f, lam, slack, scale, viol_max):
         """``check_kkt`` evaluated on the cached data (equal up to rounding)."""
         n, r = self.n, self._rows.shape[0]
-        grad = 2.0 * (self.H @ u) + f  # the bits of (2H) u + f: doubling is exact
+        Hu2 = 2.0 * (self.H @ u)  # the bits of (2H) u: doubling is exact
         M_lam = lam[:n] - lam[n:2 * n] + self._rows.T @ (lam[2 * n:2 * n + r] - lam[2 * n + r:])
-        stationarity = np.abs(grad + M_lam).max() / max(
-            1.0, np.abs(grad).max(), np.abs(M_lam).max())
+        stationarity = np.abs(Hu2 + f + M_lam).max() / max(
+            1.0, np.abs(Hu2).max(), np.abs(f).max(), np.abs(M_lam).max())
         dual = max(0.0, -lam.min())
         comp = (np.abs(lam * slack) / np.maximum(scale, np.abs(lam))).max()
         return float(max(stationarity, viol_max, dual, comp))  # a negative viol_max never wins
+
+    def _factor(self, base_A, sign_A, out) -> bool:
+        """inv(M_A inv(2H) M_A') into ``out``; whether M_A passes the independence test."""
+        S_A = self._PT[base_A[:, None], base_A] * np.multiply.outer(sign_A, sign_A)
+        try:
+            out[...] = np.linalg.inv(S_A)
+        except np.linalg.LinAlgError:
+            return False
+        d = np.diagonal(out)  # 1 / d[j]: constraint j's curvature off the others; NaN fails
+        return bool(((d > 0.0) & (d * np.diagonal(S_A) < 1.0 / _DEPENDENT_REL)).all())
 
     def _dual_active_set(self, u, gamma, scale, mask, tol, max_iters, start):
         """Goldfarb-Idnani iterations from the unconstrained minimizer ``u``, or
@@ -289,12 +307,13 @@ class QpWorkspace:
         constraints and their multipliers, ``base_A``/``sign_A``/``gamma_A``
         their rows of N, signs and bounds, and row k of ``JT`` the signed
         column of W of active constraint k. The leading a x a block of
-        ``S_inv`` holds the inverse of M_A inv(2H) M_A'. Invariant: u minimizes
+        ``S_inv`` holds the inverse of M_A inv(2H) M_A'. Multipliers, steps and
+        curvatures are those of the scaled QP, H 2^-e. Invariant: u minimizes
         the Lagrangian at the current multipliers and every active
         constraint holds with equality. At most n independent constraints
         can be active. Returns (u, multipliers, iterations, status).
         """
-        n, base, sign, PT, WT, H = self.n, self._base, self._sign, self._PT, self._WT, self.H
+        n, base, sign, PT, WT, H = self.n, self._base, self._sign, self._PT, self._WT, self._Hs
         act = np.zeros(n, dtype=np.intp)
         base_A = np.zeros(n, dtype=np.intp)
         sign_A = np.zeros(n)
@@ -305,15 +324,7 @@ class QpWorkspace:
         a = on_rows = 0  # on_rows: active constraints on rows, whose slack needs rows @ u
         while start is not None and 0 < start.size <= n:
             k, bA, sA = start.size, base[start], sign[start]
-            S_A = PT[bA[:, None], bA] * np.multiply.outer(sA, sA)  # M_A inv(2H) M_A'
-            try:
-                S_inv[:k, :k] = np.linalg.inv(S_A)
-            except np.linalg.LinAlgError:
-                break
-            # 1 / S_inv[j, j] is the curvature of start constraint j after projection
-            # off the others, which must pass the loop's independence test (NaN fails)
-            d = np.diagonal(S_inv)[:k]
-            if not ((d > 0.0) & (d * np.diagonal(S_A) < 1.0 / _DEPENDENT_REL)).all():
+            if not self._factor(bA, sA, S_inv[:k, :k]):
                 break
             gamma_s = gamma[start]
             lam_s = S_inv[:k, :k] @ (sA * np.concatenate((u, self._rows @ u))[bA] - gamma_s)
@@ -380,20 +391,17 @@ class QpWorkspace:
                     a += 1
                     on_rows += bp >= n
                     break
-                # drop the blocking constraint j: move the last one into its place
+                # drop the blocking constraint j: move the last one into its place, factor anew
                 a -= 1
                 on_rows -= int(base_A[j]) >= n
                 for buf in (act, base_A, sign_A, gamma_A, lam_A, JT):
                     buf[j] = buf[a]
-                S_inv[[j, a], :a + 1] = S_inv[[a, j], :a + 1]
-                S_inv[:a + 1, [j, a]] = S_inv[:a + 1, [a, j]]
-                cs = S_inv[:a, a] / math.sqrt(S_inv[a, a])
-                S_inv[:a, :a] -= cs[:, None] * cs
+                self._factor(base_A[:a], sign_A[:a], S_inv[:a, :a])
         lam = np.zeros(gamma.size)
         lam[act[:a]] = lam_A[:a]
         if status != "optimal":
             lam[p] += lam_p
-        return u, lam, iterations, status
+        return u, np.ldexp(lam, self._e, out=lam), iterations, status
 
 
 def solve_qp(p: QpProblem, tol: float = DEFAULT_TOL,

@@ -204,6 +204,21 @@ class TestBuildPrediction:
             for j in range(i + 1, G.shape[1]):
                 assert G[i, j] == 0.0
 
+    @pytest.mark.parametrize("Np", [1, 2, 7, 30])
+    def test_phi_and_g_are_products_of_powers_of_a(self, nominal_dm, Np):
+        # row j of Phi is C A^(j+1) and G[i, j] = C A^(i-j) B for j <= i, to the bit
+        A, B, C = nominal_dm.A, nominal_dm.B, nominal_dm.C
+        powers = [np.eye(2)]
+        for _ in range(Np):
+            powers.append(A @ powers[-1])
+        G = np.zeros((Np, Np))
+        for i in range(Np):
+            for j in range(i + 1):
+                G[i, j] = (C @ powers[i - j] @ B)[0, 0]
+        st = build_prediction(nominal_dm, make_mpc_cfg(Np=Np))
+        assert np.array_equal(st.Phi, np.vstack([C @ powers[j] for j in range(1, Np + 1)]))
+        assert np.array_equal(st.G, G)
+
     def test_shift_matrices_are_powers_of_a(self, nominal_dm, stack):
         # K_shift = A^kd and column i of M_shift = A^(kd-1-i) B, to the bit
         A, B, kd = nominal_dm.A, nominal_dm.B, nominal_dm.kd

@@ -20,10 +20,10 @@ from crosswind.harness import (
     run_scenario,
     write_trace,
 )
-from crosswind.qpsolve import QpWorkspace
+from crosswind.qpsolve import QpProblem, QpWorkspace
 from crosswind.scenario import bundled_scenario_names, load_bundled_scenario, parse_scenario
 
-from conftest import shift_from_history
+from conftest import lp_feasible, shift_from_history
 
 QUIET = """
 [scenario]
@@ -261,6 +261,36 @@ schedule = 10:15
                             lambda ws, *args, start=None, **kwargs: solve(ws, *args, **kwargs))
         assert warm == [r.qp_status for r in run_scenario(cfg)]
         assert set(warm) == {"optimal"}
+
+    @pytest.mark.parametrize("band", [True, False], ids=["band", "box"])
+    @pytest.mark.parametrize("weight", ["1e-18", "1e-15", "1e-14", "1e-12", "1e-9", "1e200",
+                                        "1e300"])
+    def test_every_control_weight_runs_with_honest_qp_statuses(self, weight, band,
+                                                               monkeypatch):
+        """The bundled band scenario, and its box-only variant, at control weights
+        from 1e-18 (cond(H) near 2e8) to 1e300 (max|H| near 1e300) runs to the end
+        without a warning; its optimal solves are certified and every other solve
+        is on a QP that HiGHS finds infeasible."""
+        overrides = {"mpc.control_weight": weight}
+        if not band:
+            overrides.update({"mpc.output_min": "none", "mpc.output_max": "none"})
+        solve, solves = QpWorkspace.solve, []
+
+        def recording(ws, f, lower, upper, row_lower=None, row_upper=None, **kwargs):
+            sol = solve(ws, f, lower, upper, row_lower, row_upper, **kwargs)
+            solves.append((QpProblem(H=ws.H, f=f, lower=lower, upper=upper, rows=ws.rows,
+                                     row_lower=row_lower, row_upper=row_upper), sol))
+            return sol
+
+        monkeypatch.setattr(QpWorkspace, "solve", recording)
+        trace = run_scenario(load_bundled_scenario("mpc_tight_limit_weight_step",
+                                                   overrides=overrides))
+        assert len(trace) == 400 and solves
+        for p, sol in solves:
+            if sol.status == "optimal":
+                assert sol.kkt_residual <= 1e-8
+            else:
+                assert not lp_feasible(p)
 
     def test_feedforward_speeds_up_pid(self):
         """Feed-forward compensation also helps the PID loop."""

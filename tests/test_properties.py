@@ -13,7 +13,6 @@ from importlib import resources
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from crosswind.cli import main as cli_main
 from crosswind.errors import PlantDivergenceError, ScenarioError
@@ -22,27 +21,19 @@ from crosswind.model import delay_steps
 from crosswind.qpsolve import DEFAULT_TOL, QpProblem, check_kkt, solve_qp
 from crosswind.scenario import SCENARIO_SCHEMA, parse_scenario
 
-from conftest import capped_lagrangians, small_qps
-
-
-def lp_feasible(p: QpProblem) -> bool:
-    """Whether the constraints of ``p`` have a solution, by scipy's HiGHS LP."""
-    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-              for lo, hi in zip(p.lower, p.upper)]
-    A_ub = b_ub = None
-    if p.rows is not None:
-        A, b = np.vstack([p.rows, -p.rows]), np.concatenate([p.row_upper, -p.row_lower])
-        A_ub, b_ub = A[np.isfinite(b)], b[np.isfinite(b)]
-    lp = linprog(np.zeros(p.n), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    assert lp.status in (0, 2), lp.message
-    return lp.status == 0
+from conftest import capped_lagrangians, lp_feasible, small_qps
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(small_qps())
-def test_qp_status_is_certified(p):
-    """Every optimal solve passes check_kkt on an LP-feasible QP, every infeasible
-    one is LP-infeasible. Some drawn rows are zero rows, which are constraints too."""
+@given(small_qps(), st.integers(-9, 300))
+# an unconstrained optimum whose gradient is rounding noise above 1
+@example(QpProblem(H=[[2.921410913874391e17]], f=[-7.466147714688387e18],
+                   lower=[-1e3], upper=[1e3]), 0)
+def test_qp_status_is_certified(p, k):
+    """With H and f scaled by 10^k, every optimal solve passes check_kkt on an
+    LP-feasible QP, every infeasible one is LP-infeasible. Some drawn rows are
+    zero rows, which are constraints too."""
+    p = dataclasses.replace(p, H=p.H * 10.0 ** k, f=p.f * 10.0 ** k)
     sol = solve_qp(p)
     assert sol.status in ("optimal", "infeasible")  # never max_iters at the default cap
     if sol.status == "optimal":

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from crosswind.controllers import MpcConfig, build_prediction
 from crosswind.errors import InvalidParameterError
 from crosswind.harness import run_scenario
+from crosswind.model import continuous_roll_model, discretize_zoh
 from crosswind.qpsolve import QpProblem, QpWorkspace, check_kkt, constraint_stack, solve_qp
 from crosswind.scenario import load_bundled_scenario
 
@@ -215,6 +216,11 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), f=np.zeros(2),
                       lower=np.full(2, -1.0), upper=np.full(2, 1.0))
+        # the bound is relative to max|H|: at the MPC's scale, 1e-9, an absolute
+        # bound of 1e-10 let H[0, 1] differ from H[1, 0] by 20%
+        for scale in (1e-9, 1e300):
+            with pytest.raises(InvalidParameterError, match="symmetric"):
+                QpWorkspace(scale * np.array([[1.0, 0.6], [0.5, 1.0]]))
 
     def test_indefinite_h_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -434,6 +440,25 @@ class TestWorkspace:
             # every iteration adds or drops one constraint
             with_drops += sol.iterations > np.count_nonzero(sol.multipliers)
         assert with_drops
+
+    def test_drops_at_a_tiny_control_weight_solve(self):
+        """A QP of the bundled band scenario at mpc.control_weight = 1e-15, cond(H)
+        about 2e7, with the shifted state, wind estimate and warm start of the run's
+        step where a rank-one downdate of the active-set inverse once lost definiteness
+        on a drop (math domain error). Factored afresh on each drop, it solves."""
+        scn = load_bundled_scenario("mpc_tight_limit_weight_step",
+                                    overrides={"mpc.control_weight": "1e-15"})
+        rp, cfg = scn.plant_params, scn.mpc
+        stack = build_prediction(
+            discretize_zoh(continuous_roll_model(rp), scn.Ts, rp.input_delay_Td), cfg)
+        f, lo, hi, rl, ru = mpc_problem(cfg, stack, np.array([-0.00387252536068546,
+                                                              0.0011075053044890398]),
+                                        wind=-380.94114668410805)
+        sol = stack.qp.solve(f, lo, hi, rl, ru, start=[0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])
+        assert sol.status == "optimal"
+        p = QpProblem(H=stack.H, f=f, lower=lo, upper=hi, rows=stack.G,
+                      row_lower=rl, row_upper=ru)
+        assert check_kkt(p, sol.u_star, sol.multipliers) <= 1e-8
 
     def test_output_pinned_by_equal_band_rows(self, nominal_dm):
         cfg, stack = banded_mpc(nominal_dm, Np=6, u_lim=1000.0, band=0.05)
