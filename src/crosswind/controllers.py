@@ -31,6 +31,8 @@ MAX_DERIVATIVE_WINDOW = 1000
 MAX_HORIZON = 1000
 # the active sets an ActiveSets table keeps; each new one overwrites the oldest
 MAX_STARTS = 16
+# the constrained MPC's largest control weight: above it the QP's multipliers can overflow
+MAX_QP_CONTROL_WEIGHT = 1e300
 
 # ---------------------------------------------------------------------------
 # PID
@@ -133,8 +135,8 @@ class MpcConfig:
             raise InvalidParameterError("Qc_diag and Rc_diag must have length Np")
         if not np.all((0 <= Qc) & (Qc < np.inf)):  # NaN fails too
             raise InvalidParameterError("Qc_diag entries must be finite and >= 0", "Qc_diag")
-        if not np.all((0 < Rc) & (Rc < np.inf)):
-            raise InvalidParameterError("Rc_diag entries must be finite and > 0", "Rc_diag")
+        if not np.all((0 < Rc) & (Rc < 2.0 ** 1022)):  # so that 2H, which MPC inverts, is finite
+            raise InvalidParameterError("Rc_diag entries must be > 0 and < 2^1022", "Rc_diag")
         if self.Np > 1 and Qc[-1] < np.max(Qc[:-1]):
             raise InvalidParameterError("terminal weight must be >= all other Qc entries",
                                         "Qc_diag")
@@ -332,14 +334,11 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
                 return float(u[0])
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
     problem = (f, np.full(cfg.Np, lower), np.full(cfg.Np, upper), row_lower, row_upper)
-    if starts is None:
-        sol = stack.qp.solve(*problem)
-    else:
-        v0 = u - wind_estimate
-        sol = stack.qp.solve(*problem, start=starts.nearest(v0))
-        if sol.status == "optimal":
-            starts.store(v0, np.flatnonzero(sol.multipliers))
+    v0 = u - wind_estimate
+    sol = stack.qp.solve(*problem, start=None if starts is None else starts.nearest(v0))
     if sol.status != "optimal":
         raise QpInfeasibleError(f"MPC quadratic program ended with status {sol.status!r}",
                                 status=sol.status)
+    if starts is not None:
+        starts.store(v0, np.flatnonzero(sol.multipliers))
     return float(sol.u_star[0])

@@ -24,11 +24,11 @@ drops its constraints with a +inf bound, falls back to a cold start if
 the rest fail the loop's independence test, and drops every constraint
 whose multiplier comes out negative until none does. The loop then runs
 unchanged, and its result depends only on its inputs, the start
-included. Within a solve the loop keeps two n x n buffers: the inverse
-of M_A inv(2H) M_A' for the active constraints M_A, bordered on an add
-and computed afresh at the start and on a drop, and the rows of
-M_A inv(2H), which give each primal direction as one vector-matrix
-product.
+included. Within a solve the loop keeps three buffers: the active
+constraints' stacked indices, their multipliers, and the inverse of
+M_A inv(2H) M_A' for the active constraints M_A, bordered on an add and
+computed afresh at the start and on a drop; an active constraint's row
+of N, sign, bound and column of W (``QpWorkspace``) are read by index.
 
 The loop runs on H 2^-e, e the exponent of max|H|, so its largest entry
 lies in [0.5, 1) at any scale of H. The power-of-two scaling is exact,
@@ -288,9 +288,9 @@ class QpWorkspace:
         comp = (np.abs(lam * slack) / np.maximum(scale, np.abs(lam))).max()
         return float(max(stationarity, viol_max, dual, comp))  # a negative viol_max never wins
 
-    def _factor(self, base_A, sign_A, out) -> bool:
+    def _factor(self, bA, sA, out) -> bool:
         """inv(M_A inv(2H) M_A') into ``out``; whether M_A passes the independence test."""
-        S_A = self._PT[base_A[:, None], base_A] * np.multiply.outer(sign_A, sign_A)
+        S_A = self._PT[bA[:, None], bA] * np.multiply.outer(sA, sA)
         try:
             out[...] = np.linalg.inv(S_A)
         except np.linalg.LinAlgError:
@@ -304,45 +304,41 @@ class QpWorkspace:
         module docstring).
 
         The first ``a`` entries of ``act`` and ``lam_A`` hold the active
-        constraints and their multipliers, ``base_A``/``sign_A``/``gamma_A``
-        their rows of N, signs and bounds, and row k of ``JT`` the signed
-        column of W of active constraint k. The leading a x a block of
-        ``S_inv`` holds the inverse of M_A inv(2H) M_A'. Multipliers, steps and
-        curvatures are those of the scaled QP, H 2^-e. Invariant: u minimizes
-        the Lagrangian at the current multipliers and every active
+        constraints' stacked indices and their multipliers, and the leading
+        a x a block of ``S_inv`` holds the inverse of M_A inv(2H) M_A'. An
+        active constraint's row of N, sign, bound and column of W are read
+        through its index: bA = base[act[:a]], sA = sign[act[:a]], and the
+        signed columns combined by x are (x * sA) @ WT.take(bA, 0) (``take``
+        gathers the rows about three times as fast as WT[bA]). Multipliers,
+        steps and curvatures are those of the scaled QP, H 2^-e. Invariant: u
+        minimizes the Lagrangian at the current multipliers and every active
         constraint holds with equality. At most n independent constraints
         can be active. Returns (u, multipliers, iterations, status).
         """
         n, base, sign, PT, WT, H = self.n, self._base, self._sign, self._PT, self._WT, self._Hs
         act = np.zeros(n, dtype=np.intp)
-        base_A = np.zeros(n, dtype=np.intp)
-        sign_A = np.zeros(n)
-        gamma_A = np.zeros(n)
         lam_A = np.zeros(n)
-        JT = np.zeros((n, n))
         S_inv = np.zeros((n, n))
         a = on_rows = 0  # on_rows: active constraints on rows, whose slack needs rows @ u
         while start is not None and 0 < start.size <= n:
             k, bA, sA = start.size, base[start], sign[start]
             if not self._factor(bA, sA, S_inv[:k, :k]):
                 break
-            gamma_s = gamma[start]
-            lam_s = S_inv[:k, :k] @ (sA * np.concatenate((u, self._rows @ u))[bA] - gamma_s)
+            lam_s = S_inv[:k, :k] @ (sA * np.concatenate((u, self._rows @ u))[bA] - gamma[start])
             if (lam_s >= 0.0).all():  # dual feasible: begin here
                 a, on_rows = k, int(np.count_nonzero(bA >= n))
-                act[:a], base_A[:a], sign_A[:a], gamma_A[:a], lam_A[:a] = (start, bA, sA,
-                                                                             gamma_s, lam_s)
-                np.multiply(sA[:, None], WT[bA], out=JT[:a])
-                u = u - lam_s @ JT[:a]
+                act[:a], lam_A[:a] = start, lam_s
+                u = u - (lam_s * sA) @ WT.take(bA, 0)
                 break
             start = start[lam_s >= 0.0]
         iterations, status = 0, "optimal"
         while status == "optimal":
+            bA, sA = base[act[:a]], sign[act[:a]]
             if a:  # undo the drift of the step updates: active constraints back on equality
                 Nu = np.concatenate((u, self._rows @ u)) if on_rows else u
-                d_lam = S_inv[:a, :a] @ (sign_A[:a] * Nu[base_A[:a]] - gamma_A[:a])
+                d_lam = S_inv[:a, :a] @ (sA * Nu[bA] - gamma[act[:a]])
                 lam_A[:a] += d_lam
-                u = u - d_lam @ JT[:a]
+                u = u - (d_lam * sA) @ WT.take(bA, 0)
             slack = self._slack(u, gamma)
             viol = slack / scale + mask
             p = int(viol.argmax())
@@ -359,9 +355,9 @@ class QpWorkspace:
                     break
                 iterations += 1
                 S_a, lam_a = S_inv[:a, :a], lam_A[:a]  # views
-                b = (sp * sign_A[:a]) * p_col[base_A[:a]]
+                b = (sp * sA) * p_col[bA]
                 r = S_a @ b  # active multipliers fall by r per unit of lam_p
-                z = r @ JT[:a] - w_p  # primal direction
+                z = (r * sA) @ WT.take(bA, 0) - w_p  # primal direction
                 # = P[p, p] - b'r, computed without its cancellation
                 curvature = 2.0 * float(z @ (H @ z))
                 independent = a < n and curvature > dependent_below
@@ -386,17 +382,16 @@ class QpWorkspace:
                     S_a += rs[:, None] * rs
                     S_inv[:a, a] = S_inv[a, :a] = -r / curvature
                     S_inv[a, a] = 1.0 / curvature
-                    act[a], base_A[a], sign_A[a], gamma_A[a] = p, bp, sp, gamma[p]
-                    lam_A[a], JT[a] = lam_p, w_p
+                    act[a], lam_A[a] = p, lam_p
                     a += 1
                     on_rows += bp >= n
                     break
                 # drop the blocking constraint j: move the last one into its place, factor anew
                 a -= 1
-                on_rows -= int(base_A[j]) >= n
-                for buf in (act, base_A, sign_A, gamma_A, lam_A, JT):
-                    buf[j] = buf[a]
-                self._factor(base_A[:a], sign_A[:a], S_inv[:a, :a])
+                on_rows -= int(bA[j]) >= n
+                act[j], lam_A[j] = act[a], lam_A[a]
+                bA, sA = base[act[:a]], sign[act[:a]]
+                self._factor(bA, sA, S_inv[:a, :a])
         lam = np.zeros(gamma.size)
         lam[act[:a]] = lam_A[:a]
         if status != "optimal":

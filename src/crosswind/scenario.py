@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .controllers import MAX_HORIZON, MpcConfig, PidConfig
+from .controllers import MAX_HORIZON, MAX_QP_CONTROL_WEIGHT, MpcConfig, PidConfig
 from .errors import CrosswindError, InvalidParameterError, ScenarioError
 from .estimator import KalmanConfig
 from .model import MAX_STEPS, RollPlantParams, delay_steps
@@ -148,6 +148,10 @@ class ScenarioConfig:
         for name, holds, rule in rules:
             if not holds:
                 raise InvalidParameterError(f"{rule}, got {getattr(self, name)!r}", name)
+        if self.controller == "mpc_constrained" and self.mpc.Rc_diag.max() > MAX_QP_CONTROL_WEIGHT:
+            raise InvalidParameterError(
+                f"control_weight must be at most {MAX_QP_CONTROL_WEIGHT:g} with the "
+                f"mpc_constrained controller, got {float(self.mpc.Rc_diag.max()):g}", "Rc_diag")
         steps = round(self.duration / self.Ts)
         if steps * substeps > MAX_STEPS:
             raise InvalidParameterError(

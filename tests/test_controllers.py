@@ -426,7 +426,8 @@ class TestMpcSteps:
         x = RollState(theta=0.05)
         assert abs(mpc_constrained_step(x, buf, st, cfg)) == pytest.approx(50.0)
         solve = QpWorkspace.solve
-        monkeypatch.setattr(QpWorkspace, "solve", lambda ws, *args: solve(ws, *args, max_iters=1))
+        monkeypatch.setattr(QpWorkspace, "solve",
+                            lambda ws, *args, **kwargs: solve(ws, *args, **kwargs, max_iters=1))
         with pytest.raises(QpInfeasibleError) as err:  # feasible, but cut off
             mpc_constrained_step(x, buf, st, cfg)
         assert err.value.status == "max_iters"
@@ -434,14 +435,14 @@ class TestMpcSteps:
     def test_a_table_warm_starts_the_next_solve(self, nominal_dm, monkeypatch):
         """A step with a table passes the solver the set stored nearest to its
         u - w, stores each optimal solve's active set, and commands what a step
-        without a table does; a step without one passes no start."""
+        without a table does; a step without one passes start None."""
         cfg = make_mpc_cfg(Np=10, u_lim=50.0)
         st = build_prediction(nominal_dm, cfg)
         buf, table = InputBuffer(nominal_dm.kd), ctrl.ActiveSets()
         solve, starts = QpWorkspace.solve, []
 
         def recording(ws, *args, **kwargs):
-            starts.append(kwargs.get("start", "none passed"))
+            starts.append(kwargs["start"])
             return solve(ws, *args, **kwargs)
 
         monkeypatch.setattr(QpWorkspace, "solve", recording)
@@ -450,7 +451,7 @@ class TestMpcSteps:
             warm = mpc_constrained_step(x, buf, st, cfg, wind_estimate=5.0, starts=table)
             cold = mpc_constrained_step(x, buf, st, cfg, wind_estimate=5.0)
             assert warm == pytest.approx(cold, abs=1e-9)
-        assert starts[0] is None and starts[1] == starts[3] == "none passed"
+        assert starts[0] is starts[1] is starts[3] is None
         assert table.stored == 2 and starts[2] is table.sets[0] and starts[2].size
 
     def test_active_sets_keep_the_last_ones(self):

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from crosswind import controllers as ctrl
 from crosswind.cli import main as cli_main
-from crosswind.errors import PlantDivergenceError
+from crosswind.errors import PlantDivergenceError, ScenarioError
 from crosswind.estimator import ObserverState
 from crosswind.harness import (
     TRACE_HEADER,
@@ -264,16 +265,23 @@ schedule = 10:15
 
     @pytest.mark.parametrize("band", [True, False], ids=["band", "box"])
     @pytest.mark.parametrize("weight", ["1e-18", "1e-15", "1e-14", "1e-12", "1e-9", "1e200",
-                                        "1e300"])
+                                        "1e300", "1e305", "1e307"])
     def test_every_control_weight_runs_with_honest_qp_statuses(self, weight, band,
                                                                monkeypatch):
         """The bundled band scenario, and its box-only variant, at control weights
         from 1e-18 (cond(H) near 2e8) to 1e300 (max|H| near 1e300) runs to the end
-        without a warning; its optimal solves are certified and every other solve
-        is on a QP that HiGHS finds infeasible."""
+        without a warning; its optimal solves are certified, with finite
+        multipliers and objective, and every other solve is on a QP that HiGHS
+        finds infeasible. A weight above 1e300 may instead be rejected at parse
+        time, naming its key."""
         overrides = {"mpc.control_weight": weight}
         if not band:
             overrides.update({"mpc.output_min": "none", "mpc.output_max": "none"})
+        try:
+            cfg = load_bundled_scenario("mpc_tight_limit_weight_step", overrides=overrides)
+        except ScenarioError as exc:
+            assert float(weight) > 1e300 and str(exc).startswith("mpc.control_weight: ")
+            return
         solve, solves = QpWorkspace.solve, []
 
         def recording(ws, f, lower, upper, row_lower=None, row_upper=None, **kwargs):
@@ -283,12 +291,12 @@ schedule = 10:15
             return sol
 
         monkeypatch.setattr(QpWorkspace, "solve", recording)
-        trace = run_scenario(load_bundled_scenario("mpc_tight_limit_weight_step",
-                                                   overrides=overrides))
+        trace = run_scenario(cfg)
         assert len(trace) == 400 and solves
         for p, sol in solves:
             if sol.status == "optimal":
                 assert sol.kkt_residual <= 1e-8
+                assert np.isfinite(sol.multipliers).all() and math.isfinite(sol.objective)
             else:
                 assert not lp_feasible(p)
 
@@ -570,6 +578,20 @@ class TestCli:
             cli_main(["--help"])
         assert exc.value.code == 0
         assert "usage: crosswind" in capsys.readouterr().out
+
+    def test_sweep_of_an_overflowing_control_weight_exits_1_on_one_line(self, capsys):
+        """At 1e308 the MPC's 2H overflows: the sweep fails at parse time, naming
+        the key, with no warning; the closed-form law still runs at 1e307."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["sweep", "fig10_unconstrained_weight_step", "--param",
+                             "mpc.control_weight", "--values", "1e308"])
+            out, err = capsys.readouterr()
+            assert code == 1 and not out
+            assert err.startswith("error: mpc.control_weight: ") and err.count("\n") == 1
+            assert cli_main(["sweep", "fig10_unconstrained_weight_step", "--param",
+                             "mpc.control_weight", "--values", "1e307"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1
 
     def test_sweep_without_values_exits_1(self, capsys):
         code = cli_main(["sweep", "fig2_pid_steady", "--param", "scenario.rng_seed",
