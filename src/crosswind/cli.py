@@ -139,6 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--values" in argv[:-1]:  # else argparse reads '-1e-3' or '-1,-2' as an option
+        i = argv.index("--values")
+        argv[i:i + 2] = [f"--values={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

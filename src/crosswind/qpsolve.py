@@ -8,13 +8,13 @@ inv(2H) and the constraint normals in the metric of inv(2H). Each
 ``QpWorkspace.solve`` then takes only f and the bounds.
 
 The Goldfarb-Idnani dual active-set method (Goldfarb & Idnani, Math.
-Programming 27, 1983) starts from the unconstrained minimizer -inv(2H) f
-and returns it at its first test when it meets every bound. Otherwise it
-adds the most violated constraint, taking partial steps that drop
-blocking constraints from the active set and a pure dual step when the
-new constraint depends linearly on the active ones. It ends in finitely
-many steps, and a violated constraint that cannot be added proves the
-QP infeasible. Certificates are verifiable with ``check_kkt``.
+Programming 27, 1983) starts from the unconstrained minimizer -inv(2H) f and
+returns it at its first test when it meets every bound. Otherwise it adds
+the most violated constraint, taking partial steps that drop blocking
+constraints from the active set and a pure dual step when the new constraint
+depends linearly on the active ones. It ends in finitely many steps, and a
+violated constraint that cannot be added proves the QP infeasible. A
+solution's objective and ``check_kkt`` certificate are computed when read.
 
 A solve starts cold, from the unconstrained minimizer, unless it is
 given a ``start``: stacked constraints to begin with as active, such as
@@ -38,7 +38,7 @@ and the multipliers are scaled back by 2^e on the way out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,7 +145,8 @@ class QpProblem:
 @dataclass
 class QpSolution:
     """Solver output; ``status == "optimal"`` means no constraint is violated
-    beyond the tolerance and the multipliers are dual feasible.
+    beyond the tolerance and the multipliers are dual feasible. ``objective``
+    and ``kkt_residual``, the value of ``check_kkt``, are computed when read.
 
     ``multipliers`` are the Lagrange multipliers of the stacked one-sided
     constraints (see ``constraint_stack``). A solve stopped at ``max_iters``
@@ -156,11 +157,20 @@ class QpSolution:
     """
 
     u_star: np.ndarray
-    objective: float
-    kkt_residual: float
     iterations: int  # active-set steps, counted from the start if one was given
     status: str  # optimal | infeasible | max_iters
     multipliers: np.ndarray
+    _qp: tuple = field(repr=False)  # (H, a copy of f, rows, gamma): what the properties read
+
+    @property
+    def objective(self) -> float:
+        H, f, _, _ = self._qp
+        return float(self.u_star @ H @ self.u_star + f @ self.u_star)
+
+    @property
+    def kkt_residual(self) -> float:
+        H, f, rows, gamma = self._qp
+        return _kkt(H, f, _normals(rows), gamma, self.u_star, self.multipliers)
 
 
 def constraint_stack(p: QpProblem):
@@ -170,10 +180,13 @@ def constraint_stack(p: QpProblem):
     no rows is zero rows. A +inf entry of gamma is a constraint that is
     not there; its row is kept so multiplier indices stay aligned.
     """
-    I = np.eye(p.n)
-    R = _row_matrix(p.rows, p.n)
-    return np.vstack([I, -I, R, -R]), _stack_bounds(p.n, p.rows, p.lower, p.upper,
-                                                    p.row_lower, p.row_upper)
+    return _normals(_row_matrix(p.rows, p.n)), _stack_bounds(p.n, p.rows, p.lower, p.upper,
+                                                             p.row_lower, p.row_upper)
+
+
+def _normals(rows: np.ndarray) -> np.ndarray:
+    """The stacked normals M = [I; -I; rows; -rows] for an (m, n) ``rows``."""
+    return np.vstack([np.eye(rows.shape[1]), -np.eye(rows.shape[1]), rows, -rows])
 
 
 def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
@@ -184,17 +197,21 @@ def check_kkt(p: QpProblem, u: np.ndarray, multipliers: np.ndarray) -> float:
     uniform scaling of (H, f); primal and complementarity terms are
     normalized per-row by max(1, |bound|).
     """
-    u = np.asarray(u, dtype=float).ravel()
     lam = np.asarray(multipliers, dtype=float).ravel()
     M, gamma = constraint_stack(p)
     if lam.shape != gamma.shape:
         raise InvalidParameterError(f"expected {gamma.size} multipliers, got {lam.size}")
+    return _kkt(p.H, p.f, M, gamma, np.asarray(u, dtype=float).ravel(), lam)
+
+
+def _kkt(H, f, M, gamma, u, lam) -> float:
+    """``check_kkt``'s certificate for min u'Hu + f'u s.t. M u <= gamma."""
     usable = gamma < np.inf
     gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out below
-    Hu2 = 2.0 * p.H @ u
+    Hu2 = 2.0 * H @ u
     M_lam = M.T @ lam
-    stat_scale = max(1.0, np.max(np.abs(Hu2)), np.max(np.abs(p.f)), np.max(np.abs(M_lam)))
-    stationarity = np.max(np.abs(Hu2 + p.f + M_lam)) / stat_scale
+    stat_scale = max(1.0, np.max(np.abs(Hu2)), np.max(np.abs(f)), np.max(np.abs(M_lam)))
+    stationarity = np.max(np.abs(Hu2 + f + M_lam)) / stat_scale
     slack = M @ u - gamma
     row_scale = np.maximum(1.0, np.abs(gamma))
     primal = max(0.0, np.max(np.where(usable, slack / row_scale, -np.inf)))
@@ -249,15 +266,15 @@ class QpWorkspace:
         (``constraint_stack`` order) to begin with as active.
         """
         n = self.n
-        f = np.asarray(f, dtype=float).ravel()
+        f = np.array(f, dtype=float).ravel()  # a copy: the solution keeps it
         if f.shape != (n,):
             raise InvalidParameterError(f"f must have length {n}")
         u = self.H2_inv @ -f  # -(H2_inv @ f) would turn an exact +0 into -0
         if not np.isfinite(u).all():
             raise InvalidParameterError("f must be finite, and so must -inv(2H) f")
-        gamma = _stack_bounds(n, self.rows, lower, upper, row_lower, row_upper)
-        usable = gamma < np.inf  # a +inf bound is the one constraint a solve drops
-        gamma = np.where(usable, gamma, 0.0)  # finite stand-ins, masked out by ``mask``
+        stacked = _stack_bounds(n, self.rows, lower, upper, row_lower, row_upper)
+        usable = stacked < np.inf  # a +inf bound is the one constraint a solve drops
+        gamma = np.where(usable, stacked, 0.0)  # finite stand-ins, masked out by ``mask``
         scale = np.maximum(1.0, np.abs(gamma))
         mask = np.where(usable, 0.0, -np.inf)
         if start is not None:
@@ -266,27 +283,12 @@ class QpWorkspace:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u, lam, iterations, status = self._dual_active_set(u, gamma, scale, mask, tol,
                                                                max_iters, start)
-        slack = self._slack(u, gamma)
-        viol_max = (slack / scale + mask).max()
-        return QpSolution(u_star=u, objective=float(u @ self.H @ u + f @ u),
-                          kkt_residual=self._kkt_residual(u, f, lam, slack, scale, viol_max),
-                          iterations=iterations, status=status, multipliers=lam)
+        return QpSolution(u, iterations, status, lam, (self.H, f, self._rows, stacked))
 
     def _slack(self, u, gamma):
         """M u - gamma for the stacked constraints, box rows taken on u directly."""
         y = self._rows @ u
         return np.concatenate((u, -u, y, -y)) - gamma
-
-    def _kkt_residual(self, u, f, lam, slack, scale, viol_max):
-        """``check_kkt`` evaluated on the cached data (equal up to rounding)."""
-        n, r = self.n, self._rows.shape[0]
-        Hu2 = 2.0 * (self.H @ u)  # the bits of (2H) u: doubling is exact
-        M_lam = lam[:n] - lam[n:2 * n] + self._rows.T @ (lam[2 * n:2 * n + r] - lam[2 * n + r:])
-        stationarity = np.abs(Hu2 + f + M_lam).max() / max(
-            1.0, np.abs(Hu2).max(), np.abs(f).max(), np.abs(M_lam).max())
-        dual = max(0.0, -lam.min())
-        comp = (np.abs(lam * slack) / np.maximum(scale, np.abs(lam))).max()
-        return float(max(stationarity, viol_max, dual, comp))  # a negative viol_max never wins
 
     def _factor(self, bA, sA, out) -> bool:
         """inv(M_A inv(2H) M_A') into ``out``; whether M_A passes the independence test."""

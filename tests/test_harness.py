@@ -565,7 +565,18 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith(f"{param}={value}: settling_time_s=")
 
-    @pytest.mark.parametrize("argv", [["run"], ["run", "fig2_pid_steady", "--band", "abc"]])
+    @pytest.mark.parametrize("values,lines", [("-0.002,-0.001", 2), ("-1e-3", 1)])
+    def test_sweep_values_that_start_with_a_minus(self, values, lines, capsys):
+        code = cli_main(["sweep", "mpc_tight_limit_weight_step", "--param", "mpc.output_min",
+                         "--values", values])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("\n") == lines and out.startswith("mpc.output_min=-")
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["run", "fig2_pid_steady", "--band", "abc"],
+        ["sweep", "fig2_pid_steady", "--param", "scenario.rng_seed", "--values"],
+    ])
     def test_usage_error_exits_1_on_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosswind import qpsolve
 from crosswind.controllers import MpcConfig, build_prediction
 from crosswind.errors import InvalidParameterError
 from crosswind.harness import run_scenario
@@ -355,15 +356,45 @@ class TestWorkspace:
                           rows=rows, row_lower=rl, row_upper=ru)
             sol = solve_qp(p)
             assert sol.status == "optimal"
-            ref = check_kkt(p, sol.u_star, sol.multipliers)
-            if sol.iterations == 0:
-                seen_fast = True
-                assert sol.kkt_residual == ref
-            else:
-                seen_active = True
-                # M'lam is summed in another order; both are rounding-level
-                assert sol.kkt_residual == pytest.approx(ref, abs=1e-12)
+            assert sol.kkt_residual == check_kkt(p, sol.u_star, sol.multipliers)
+            seen_fast |= sol.iterations == 0
+            seen_active |= sol.iterations > 0
         assert seen_fast and seen_active
+
+    def test_solution_keeps_its_own_copy_of_the_qp(self, rng):
+        """Editing the caller's f and bound arrays in place after a solve leaves the
+        solution's objective and certificate those of the QP it solved."""
+        H, k = random_pd(rng, 4), 2
+        rows = rng.normal(size=(k, 4))
+        f, lo, hi = rng.normal(scale=3.0, size=4), np.full(4, -0.5), np.full(4, 0.5)
+        rl, ru = np.full(k, -0.2), np.full(k, 0.2)
+        p = QpProblem(H=H, f=f.copy(), lower=lo, upper=hi, rows=rows, row_lower=rl,
+                      row_upper=ru)
+        sol = QpWorkspace(H, rows).solve(f, lo, hi, rl, ru)
+        assert sol.status == "optimal" and sol.iterations > 0
+        for a in (f, lo, hi, rl, ru):
+            a *= 3.0
+        u = sol.u_star
+        assert sol.objective == float(u @ p.H @ u + p.f @ u)
+        assert sol.kkt_residual == check_kkt(p, u, sol.multipliers)
+
+    def test_a_closed_loop_run_computes_no_certificate(self, monkeypatch):
+        """The constrained MPC reads neither the objective nor the certificate of
+        its solves: with the one certificate function raising, the bundled band
+        scenario still runs all 400 steps and makes its 165 solves."""
+        solve, solves = QpWorkspace.solve, []
+
+        def counted(ws, *args, **kwargs):
+            solves.append(None)
+            return solve(ws, *args, **kwargs)
+
+        def no_certificate(*args):
+            raise AssertionError("KKT certificate computed")
+
+        monkeypatch.setattr(QpWorkspace, "solve", counted)
+        monkeypatch.setattr(qpsolve, "_kkt", no_certificate)
+        assert len(run_scenario(load_bundled_scenario("mpc_tight_limit_weight_step"))) == 400
+        assert len(solves) == 165
 
     def test_pinned_variable_with_row_on_same_variable(self):
         H, f = np.eye(2), np.array([1.0, 1.0])
