@@ -96,7 +96,11 @@ def cmd_scenarios(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with a usage error on one ``error: `` line and exit status 1,
-    since 2 is the plant-divergence status."""
+    since 2 is the plant-divergence status. Options are written in full: an
+    abbreviation such as ``--val`` would get past ``main``'s ``--values`` join."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(1, f"error: {message}\n")

@@ -305,7 +305,7 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
     callers are expected to fall back to the saturated closed-form law
     and flag the step.
     """
-    if (cfg.y_min is None) != (stack.qp.rows is None):
+    if (cfg.y_min is None) != (len(stack.qp.rows) == 0):
         raise InvalidParameterError("cfg output bounds do not match the stack; "
                                     "build the stack with build_prediction(dm, cfg)")
     xs0, xs1 = _shifted(x, buf, stack, wind_estimate)

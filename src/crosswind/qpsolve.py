@@ -1,11 +1,12 @@
 """Dense convex QP solver for the MPC subproblem.
 
 Minimizes u' H u + f' u subject to elementwise box bounds on u and
-optional two-sided linear inequality rows. In a receding-horizon loop H
-and the row matrix stay fixed while f and the bounds change every step,
-so a ``QpWorkspace`` validates and factorises the fixed part once:
-inv(2H) and the constraint normals in the metric of inv(2H). Each
-``QpWorkspace.solve`` then takes only f and the bounds.
+two-sided linear inequality rows; no rows is the (0, n) row matrix with
+empty row bounds. In a receding-horizon loop H and the row matrix stay
+fixed while f and the bounds change every step, so a ``QpWorkspace``
+validates and factorises the fixed part once: inv(2H) and the constraint
+normals in the metric of inv(2H). Each ``QpWorkspace.solve`` then takes
+only f and the bounds.
 
 The Goldfarb-Idnani dual active-set method (Goldfarb & Idnani, Math.
 Programming 27, 1983) starts from the unconstrained minimizer -inv(2H) f and
@@ -73,18 +74,16 @@ def _row_matrix(rows, n: int) -> np.ndarray:
     return rows
 
 
-def _stack_bounds(n: int, rows, lower, upper, row_lower, row_upper) -> np.ndarray:
+def _stack_bounds(n: int, rows: np.ndarray, lower, upper, row_lower, row_upper) -> np.ndarray:
     """The bounds, validated and stacked as gamma = (upper, -lower, row_upper, -row_lower).
 
-    There are n box bounds on each side and, exactly when ``rows`` is not
-    None, one row bound per row; each lower <= upper, which NaN fails; and
+    There are n box bounds and one row bound per row of ``rows`` on each
+    side, a bound of None being none; each lower <= upper, which NaN fails; and
     min(gamma) > -inf: no lower bound is +inf and no upper bound -inf, so
     none rules out every value. A +inf in gamma is then the only
     constraint a solve may drop.
     """
-    if (row_lower is None, row_upper is None) != (rows is None, rows is None):
-        raise InvalidParameterError("row bounds must be given exactly when there are rows")
-    m = 0 if rows is None else rows.shape[0]
+    m = rows.shape[0]
     lower, upper, rl, ru = (np.asarray(() if b is None else b, dtype=float).ravel()
                             for b in (lower, upper, row_lower, row_upper))
     if lower.shape != (n,) or upper.shape != (n,) or rl.shape != (m,) or ru.shape != (m,):
@@ -114,7 +113,8 @@ def _start_set(start, usable: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min u'Hu + f'u  s.t.  lower <= u <= upper, row_lower <= rows @ u <= row_upper."""
+    """min u'Hu + f'u  s.t.  lower <= u <= upper, row_lower <= rows @ u <= row_upper;
+    ``rows=None`` is stored as the (0, n) matrix, with empty row bounds."""
 
     H: np.ndarray
     f: np.ndarray
@@ -128,9 +128,9 @@ class QpProblem:
         H = np.asarray(self.H, dtype=float)
         f = np.asarray(self.f, dtype=float).ravel()
         _check_hessian(H, f.size)
-        rows = None if self.rows is None else _row_matrix(self.rows, f.size)
+        rows = _row_matrix(self.rows, f.size)
         # copies, so that no later edit of the caller's arrays gets past the check below
-        bounds = [None if b is None else np.array(b, dtype=float).ravel()
+        bounds = [np.array(() if b is None else b, dtype=float).ravel()
                   for b in (self.lower, self.upper, self.row_lower, self.row_upper)]
         _stack_bounds(f.size, rows, *bounds)
         for name, value in zip(("H", "f", "rows", "lower", "upper", "row_lower", "row_upper"),
@@ -176,12 +176,11 @@ class QpSolution:
 def constraint_stack(p: QpProblem):
     """All constraints as one-sided rows M u <= gamma; returns (M, gamma).
 
-    Order: upper box, lower box (negated), row upper, row lower (negated);
-    no rows is zero rows. A +inf entry of gamma is a constraint that is
-    not there; its row is kept so multiplier indices stay aligned.
+    Order: upper box, lower box (negated), row upper, row lower (negated).
+    A +inf entry of gamma is a constraint that is not there; its row is
+    kept so multiplier indices stay aligned.
     """
-    return _normals(_row_matrix(p.rows, p.n)), _stack_bounds(p.n, p.rows, p.lower, p.upper,
-                                                             p.row_lower, p.row_upper)
+    return _normals(p.rows), _stack_bounds(p.n, p.rows, p.lower, p.upper, p.row_lower, p.row_upper)
 
 
 def _normals(rows: np.ndarray) -> np.ndarray:
@@ -222,7 +221,7 @@ def _kkt(H, f, M, gamma, u, lam) -> float:
 
 
 class QpWorkspace:
-    """The fixed part of a family of QPs: H and the row matrix.
+    """The fixed part of a family of QPs: H and the row matrix, (0, n) for ``rows=None``.
 
     Built once, it validates H and caches ``H2_inv`` = inv(2H), the one
     inverse of H (every solve begins at exactly -inv(2H) f). For the
@@ -238,8 +237,7 @@ class QpWorkspace:
         n = H.shape[0] if H.ndim else 0
         _check_hessian(H, n)
         self.H = H
-        self._rows = _row_matrix(rows, n)
-        self.rows = None if rows is None else self._rows
+        self.rows = _row_matrix(rows, n)
         self.n = n
         self.H2_inv = np.linalg.inv(2.0 * H)
         self.H2_inv.setflags(write=False)
@@ -247,7 +245,7 @@ class QpWorkspace:
         self._e = math.frexp(float(np.max(np.abs(H))))[1]
         self._Hs = np.ldexp(H, -self._e)
         # row k of _WT / _PT: column k of W = inv(2H) N' 2^e / of P = N W
-        N = np.vstack([np.eye(n), self._rows])
+        N = np.vstack([np.eye(n), self.rows])
         W = np.ldexp(self.H2_inv, self._e) @ N.T
         self._PT = np.ascontiguousarray((N @ W).T)
         self._WT = np.ascontiguousarray(W.T)
@@ -261,7 +259,7 @@ class QpWorkspace:
               start=None) -> QpSolution:
         """Solve min u'Hu + f'u within the given bounds; see the module docstring.
 
-        Row bounds are required exactly when the workspace has rows.
+        There is one row bound per row of ``rows`` on each side, None being none.
         ``start``, if given, holds distinct indices of stacked constraints
         (``constraint_stack`` order) to begin with as active.
         """
@@ -283,12 +281,7 @@ class QpWorkspace:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u, lam, iterations, status = self._dual_active_set(u, gamma, scale, mask, tol,
                                                                max_iters, start)
-        return QpSolution(u, iterations, status, lam, (self.H, f, self._rows, stacked))
-
-    def _slack(self, u, gamma):
-        """M u - gamma for the stacked constraints, box rows taken on u directly."""
-        y = self._rows @ u
-        return np.concatenate((u, -u, y, -y)) - gamma
+        return QpSolution(u, iterations, status, lam, (self.H, f, self.rows, stacked))
 
     def _factor(self, bA, sA, out) -> bool:
         """inv(M_A inv(2H) M_A') into ``out``; whether M_A passes the independence test."""
@@ -326,7 +319,7 @@ class QpWorkspace:
             k, bA, sA = start.size, base[start], sign[start]
             if not self._factor(bA, sA, S_inv[:k, :k]):
                 break
-            lam_s = S_inv[:k, :k] @ (sA * np.concatenate((u, self._rows @ u))[bA] - gamma[start])
+            lam_s = S_inv[:k, :k] @ (sA * np.concatenate((u, self.rows @ u))[bA] - gamma[start])
             if (lam_s >= 0.0).all():  # dual feasible: begin here
                 a, on_rows = k, int(np.count_nonzero(bA >= n))
                 act[:a], lam_A[:a] = start, lam_s
@@ -337,11 +330,11 @@ class QpWorkspace:
         while status == "optimal":
             bA, sA = base[act[:a]], sign[act[:a]]
             if a:  # undo the drift of the step updates: active constraints back on equality
-                Nu = np.concatenate((u, self._rows @ u)) if on_rows else u
+                Nu = np.concatenate((u, self.rows @ u)) if on_rows else u
                 d_lam = S_inv[:a, :a] @ (sA * Nu[bA] - gamma[act[:a]])
                 lam_A[:a] += d_lam
                 u = u - (d_lam * sA) @ WT.take(bA, 0)
-            slack = self._slack(u, gamma)
+            slack = np.concatenate((u, self.rows @ u))[base] * sign - gamma
             viol = slack / scale + mask
             p = int(viol.argmax())
             if viol[p] <= tol:

@@ -105,10 +105,8 @@ def lp_feasible(p: QpProblem) -> bool:
     """Whether the constraints of ``p`` have a solution, by scipy's HiGHS LP."""
     bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
               for lo, hi in zip(p.lower, p.upper)]
-    A_ub = b_ub = None
-    if p.rows is not None:
-        A, b = np.vstack([p.rows, -p.rows]), np.concatenate([p.row_upper, -p.row_lower])
-        A_ub, b_ub = A[np.isfinite(b)], b[np.isfinite(b)]
-    lp = linprog(np.zeros(p.n), A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    A, b = np.vstack([p.rows, -p.rows]), np.concatenate([p.row_upper, -p.row_lower])
+    lp = linprog(np.zeros(p.n), A_ub=A[np.isfinite(b)], b_ub=b[np.isfinite(b)], bounds=bounds,
+                 method="highs")
     assert lp.status in (0, 2), lp.message
     return lp.status == 0

@@ -283,6 +283,8 @@ class TestBuildPrediction:
             MpcConfig(Np=2, Qc_diag=np.array([5.0, 1.0]), Rc_diag=np.full(2, 1e-8))
         with pytest.raises(InvalidParameterError):
             MpcConfig(Np=2, Qc_diag=np.ones(2), Rc_diag=np.array([0.0, 1e-8]))
+        with pytest.raises(InvalidParameterError, match="length Np"):
+            MpcConfig(Np=2, Qc_diag=np.ones(3), Rc_diag=np.ones(2))
         with pytest.raises(InvalidParameterError):
             MpcConfig(Np=2, Qc_diag=np.ones(2), Rc_diag=np.full(2, 1e-8),
                       u_min=5.0, u_max=-5.0)

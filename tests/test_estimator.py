@@ -69,6 +69,10 @@ class TestPolePlacement:
         with pytest.raises(InvalidParameterError, match="must lie inside the unit circle"):
             place_observer_gain(nominal_am, (float("nan"), 0.7, 0.75))
 
+    def test_pole_count_must_be_three(self, nominal_am):
+        with pytest.raises(InvalidParameterError, match="exactly 3 poles"):
+            place_observer_gain(nominal_am, (0.5, 0.6))
+
     def test_unpaired_complex_poles_rejected(self, nominal_am):
         with pytest.raises(InvalidParameterError):
             place_observer_gain(nominal_am, (0.5 + 0.2j, 0.5 + 0.2j, 0.3))
@@ -120,6 +124,8 @@ class TestFilterAre:
             KalmanConfig(Q=np.diag([1.0, 1.0, -1.0]))
         with pytest.raises(InvalidParameterError):
             KalmanConfig(Q=np.ones((2, 2)))
+        with pytest.raises(InvalidParameterError, match="symmetric"):
+            KalmanConfig(Q=np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(InvalidParameterError, match="R must be finite"):
             KalmanConfig(R=float("inf"))
         with pytest.raises(InvalidParameterError, match="Q must be finite"):

@@ -469,6 +469,10 @@ class TestMetrics:
             with pytest.raises(ValueError, match="band"):
                 compute_metrics(make_trace([0.0]), band=band)
 
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            compute_metrics([], 0.02)
+
     def test_nan_displacement_is_outside_the_band(self):
         m = compute_metrics(make_trace([0.0] * 20 + [float("nan")] + [0.0] * 20), band=0.02)
         assert m.settling_time == pytest.approx(2.1)
@@ -481,6 +485,9 @@ class TestMetrics:
         fast = compute_metrics(make_trace(fast_disps), band=0.02)
         red = response_reduction(slow, fast)
         assert red == pytest.approx((9.9 - 1.0) / 9.9 * 100.0, abs=2.0)
+        settled_at_0 = compute_metrics(make_trace([0.0] * 100), band=0.02)
+        with pytest.raises(ValueError, match="baseline response time must be positive"):
+            response_reduction(settled_at_0, fast)
 
 
 class TestCausality:
@@ -576,6 +583,10 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["run"], ["run", "fig2_pid_steady", "--band", "abc"],
         ["sweep", "fig2_pid_steady", "--param", "scenario.rng_seed", "--values"],
+        # abbreviated options are not options: "--val=-1e-3" used to run as "--values"
+        ["sweep", "mpc_tight_limit_weight_step", "--param", "mpc.output_min", "--val", "-1e-3"],
+        ["sweep", "mpc_tight_limit_weight_step", "--param", "mpc.output_min", "--val=-1e-3"],
+        ["sweep", "mpc_tight_limit_weight_step", "--par", "mpc.output_min", "--values", "-1e-3"],
     ])
     def test_usage_error_exits_1_on_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -107,6 +107,8 @@ class TestDisturbances:
 
     def test_profile_validation(self):
         wind_map = WindTorqueMap()
+        with pytest.raises(InvalidParameterError, match="at least one breakpoint"):
+            TorqueSchedule.from_wind((), wind_map)
         with pytest.raises(InvalidParameterError):
             TorqueSchedule.from_wind(((1.0, 0.0),), wind_map)   # must start at zero
         with pytest.raises(InvalidParameterError):
@@ -135,6 +137,10 @@ class TestDisturbances:
     def test_weight_times_must_be_finite_and_nondecreasing(self, t):
         with pytest.raises(InvalidParameterError, match="times"):
             TorqueSchedule.from_weights(((10.0, 15.0), (t, 0.0)), "left", RollPlantParams())
+
+    def test_weight_side_must_be_left_or_right(self):
+        with pytest.raises(InvalidParameterError, match="side"):
+            TorqueSchedule.from_weights(((10.0, 15.0),), "up", RollPlantParams())
 
     def test_weight_schedule(self):
         rp = RollPlantParams()
@@ -190,6 +196,10 @@ class TestInputBuffer:
         outs = [buf.push(float(i)) for i in range(1, 8)]
         # first kd pushes evict the zero fill, then commands come out in order
         assert outs == [0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(InvalidParameterError, match="kd must be >= 0"):
+            InputBuffer(-1)
 
     def test_zero_delay_passthrough(self):
         buf = InputBuffer(kd=0)

@@ -202,6 +202,27 @@ class TestSolverBehavior:
                       rows=[[2.2250738585072014e-309]], row_lower=[1.0], row_upper=[1.0])
         assert solve_qp(p).status == "infeasible"
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="at cond(H) 1e6 the multipliers are off by about 1e-6 relative")
+    def test_ill_conditioned_h_solve_is_certified(self):
+        # ends optimal after 4 steps at u = [3.3e-22, 0, 1] with check_kkt 1.0e-6
+        p = QpProblem(H=[[100000.9, 0, -299999.7], [0, 1000, 0], [-299999.7, 0, 900000.1]],
+                      f=[0, 0, 0], lower=[-1, 0, 1], upper=[1, 0, 1],
+                      rows=[[0, 0, 0], [0.5, 0, 0]], row_lower=[0, 0], row_upper=[0, 0])
+        sol = solve_qp(p)
+        assert sol.status == "optimal"
+        assert check_kkt(p, sol.u_star, sol.multipliers) <= 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="with a 1.18e-38 row entry the loop runs to max_iters")
+    def test_tiny_row_entry_solve_ends_optimal(self):
+        # feasible, with its solution near u1 = 8.5e37; ends max_iters after 5000 steps
+        p = QpProblem(H=3.0 * np.eye(3), f=np.zeros(3), lower=[-np.inf, -np.inf, 0.0],
+                      upper=[np.inf, np.inf, 0.0], rows=[[0.75, 1.0, 0.0],
+                                                         [0.0, 1.1754943508222875e-38, 0.0]],
+                      row_lower=[0.0, 1.0], row_upper=[0.0, 1.0])
+        assert solve_qp(p).status == "optimal"
+
     def test_equality_like_box(self):
         # lower == upper pins the variable
         p = QpProblem(H=np.eye(2), f=np.array([1.0, 1.0]),
@@ -271,6 +292,21 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match=match):
             QpWorkspace(qp["H"], rows=qp["rows"]).solve(
                 qp["f"], qp["lower"], qp["upper"], qp["row_lower"], qp["row_upper"])
+
+    def test_no_rows_is_the_0_by_n_matrix(self, rng):
+        # rows=None was kept as None, and rows=np.zeros((0, n)) refused a solve without row bounds
+        H, f = random_pd(rng, 3), 10.0 * rng.normal(size=3)
+        lo, hi = np.full(3, -0.1), np.full(3, 0.1)
+        p = QpProblem(H=H, f=f, lower=lo, upper=hi)
+        assert p.rows.shape == (0, 3)
+        assert p.row_lower.shape == p.row_upper.shape == (0,)
+        ref = QpWorkspace(H).solve(f, lo, hi)
+        assert ref.multipliers.any()
+        empty = QpWorkspace(H, rows=np.zeros((0, 3)))
+        for sol in (empty.solve(f, lo, hi), empty.solve(f, lo, hi, [], []),
+                    QpWorkspace(H).solve(f, lo, hi, [], []), solve_qp(p)):
+            np.testing.assert_array_equal(sol.u_star, ref.u_star)
+            np.testing.assert_array_equal(sol.multipliers, ref.multipliers)
 
     def test_violated_zero_row_is_infeasible(self):
         # 0 u in [1, 2] was dropped as a zero row, and the solve reported optimal

@@ -264,6 +264,7 @@ schedule = 5:10
         ("scenario.duration", "5%"),  # "invalid interpolation syntax" without a key
         ("wind.quad_coeff", "-1"),  # ignored without a wind.profile
         ("wind.direction", "7"),
+        ("motor.inner_dt", "1e-6"),  # 400 steps of 1e5 substeps, over the run's cap
     ])
     def test_bad_value_is_rejected_naming_its_key(self, key, value, capsys):
         with pytest.raises(ScenarioError, match=re.escape(key)):
@@ -371,6 +372,14 @@ estimator = pole_place
 [mpc]
 output_max = 0.05
 """)
+
+    def test_crossed_output_band_names_its_key(self, capsys):
+        key = "mpc.output_min"
+        with pytest.raises(ScenarioError, match=re.escape(f"{key}: y_min must be < y_max")):
+            load_bundled_scenario("mpc_tight_limit_weight_step", overrides={key: "0.02"})
+        code = cli_main(["sweep", "mpc_tight_limit_weight_step", "--param", key,
+                         "--values", "0.02"])
+        assert code == 1 and capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
 class TestOverrides:
