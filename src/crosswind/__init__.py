@@ -37,6 +37,7 @@ from .estimator import (
 )
 from .harness import (
     Metrics,
+    Trace,
     TraceRecord,
     compute_metrics,
     read_trace,

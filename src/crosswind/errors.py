@@ -34,7 +34,8 @@ class PlantDivergenceError(CrosswindError, RuntimeError):
     """Simulated plant state became non-finite or unreasonably large.
 
     A run that diverges sets ``step`` and its time ``t``, the
-    ``partial_trace`` up to that step, and ``state``, the last finite
+    ``partial_trace`` (a Trace over a copy of rows 0..step, so it does not
+    keep the run's whole store alive), and ``state``, the last finite
     plant state.
     """
 

@@ -1,6 +1,8 @@
-"""Closed-loop simulation runner, trace records, and response metrics.
+"""Closed-loop simulation runner, its trace, and response metrics.
 
-One TraceRecord is emitted per control step. The loop is: measure,
+A run's trace is a Trace: one row of nine floats per control step in a
+store allocated before the loop, plus a qp_status list, read as a
+sequence of TraceRecord rows. Each step of the loop is: measure,
 controller step (PID on the filtered measurement, MPC on the observer
 state), feed-forward subtraction and the one clip to the torque limit,
 push the command into the shared delay buffer, advance the observer
@@ -11,6 +13,7 @@ update so the kd-sample shift stays aligned with the buffered commands.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -54,22 +57,68 @@ class TraceRecord:
 # the trace's columns, in CSV order: every float column, then qp_status
 TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
 _FLOAT_COLUMNS = TRACE_HEADER.split(",")[:-1]
+_floats_of = attrgetter(*_FLOAT_COLUMNS)
 
 
-def _column(trace: list, name: str) -> np.ndarray:
-    """The float column ``name`` of a trace."""
-    return np.fromiter(map(attrgetter(name), trace), dtype=float, count=len(trace))
+class Trace(Sequence):
+    """A run's trace, stored as columns and read as TraceRecord rows.
+
+    ``floats`` has one row per step and one column per float field, in
+    CSV order; ``qp_status`` holds each step's status. ``trace[k]`` (k
+    may be negative) and iteration build TraceRecords, a slice is a new
+    Trace over a copy of its rows, and ``trace[k] = record`` writes
+    through to the store.
+    """
+
+    __slots__ = ("floats", "qp_status")
+
+    def __init__(self, floats: np.ndarray, qp_status: list):
+        self.floats = floats
+        self.qp_status = qp_status
+
+    @classmethod
+    def of(cls, rows) -> Trace:
+        """``rows`` if it is a Trace, else its TraceRecords gathered into one."""
+        if isinstance(rows, Trace):
+            return rows
+        rows = list(rows)
+        floats = np.fromiter(map(_floats_of, rows), dtype=(float, len(_FLOAT_COLUMNS)),
+                             count=len(rows))
+        return cls(floats, [r.qp_status for r in rows])
+
+    def column(self, name: str) -> np.ndarray:
+        """The float column ``name``, a view of the store."""
+        return self.floats[:, _FLOAT_COLUMNS.index(name)]
+
+    def __len__(self) -> int:
+        return len(self.qp_status)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Trace(self.floats[k].copy(), self.qp_status[k])
+        return TraceRecord(*self.floats[k].tolist(), self.qp_status[k])
+
+    def __setitem__(self, k: int, record: TraceRecord) -> None:
+        self.floats[k] = _floats_of(record)
+        self.qp_status[k] = record.qp_status
+
+    def __iter__(self):
+        return map(TraceRecord, *self.floats.T.tolist(), self.qp_status)
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
 
 
-def run_scenario(cfg: ScenarioConfig) -> list:
-    """Run one closed-loop scenario; returns the per-step trace.
+def run_scenario(cfg: ScenarioConfig) -> Trace:
+    """Run one closed-loop scenario; returns its Trace, one row per step.
 
     The observer, the controller and the plant are chosen once, before
-    the loop. QP infeasibility falls back to the saturated closed-form
-    law and flags the record; plant divergence raises
-    PlantDivergenceError carrying the step, its time, the partial trace
-    and the last finite plant state. A roll model, observer or MPC design
-    that fails is a ScenarioError naming its keys or section.
+    the loop, and so is the trace's store. QP infeasibility falls back to
+    the saturated closed-form law and flags the step; plant divergence
+    raises PlantDivergenceError carrying the step, its time, a copy of
+    the trace's rows up to that step and the last finite plant state. A
+    roll model, observer or MPC design that fails is a ScenarioError
+    naming its keys or section.
     """
     rp = cfg.plant_params
     limit = rp.torque_limit
@@ -83,9 +132,11 @@ def run_scenario(cfg: ScenarioConfig) -> list:
     rng = np.random.default_rng(cfg.rng_seed)
     half_span = rp.wingspan_d / 2.0
     torque_at = cfg.disturbance.on_grid(cfg.Ts).at
-    trace: list = []
+    n = round(cfg.duration / cfg.Ts)
+    trace = Trace(np.empty((n, len(_FLOAT_COLUMNS))), [QP_NONE] * n)
+    floats, statuses = trace.floats, trace.qp_status
 
-    for k in range(round(cfg.duration / cfg.Ts)):
+    for k in range(n):
         t = k * cfg.Ts
         tau_w = torque_at(t)
         y = measure_roll(plant.state, cfg.noise_std, rng)
@@ -95,18 +146,15 @@ def run_scenario(cfg: ScenarioConfig) -> list:
         # plant gets the command kd steps later as it is
         cmd = ctrl.feedforward_compensate(fb, wind_ff, limit)
         applied = buffer.push(cmd)
-        trace.append(TraceRecord(
-            t=t, theta=plant.state.theta, theta_dot=plant.state.theta_dot,
-            wingtip_disp=plant.state.theta * half_span,
-            cmd_torque=cmd, applied_torque=applied, tau_w_true=tau_w,
-            tau_w_hat=observer.tau_w_hat, tau_w_hat_filtered=observer.filtered_tau_w,
-            qp_status=qp_status,
-        ))
+        state = plant.state
+        floats[k] = (t, state.theta, state.theta_dot, state.theta * half_span, cmd, applied,
+                     tau_w, observer.tau_w_hat, observer.filtered_tau_w)
+        statuses[k] = qp_status
         observer = observe(observer, y, applied)
         try:
             plant.apply_command(applied, tau_w)
         except PlantDivergenceError as exc:
-            raise PlantDivergenceError(str(exc), step=k, partial_trace=trace, t=t,
+            raise PlantDivergenceError(str(exc), step=k, partial_trace=trace[:k + 1], t=t,
                                        state=plant.state) from None
 
     return trace
@@ -196,7 +244,7 @@ class Metrics:
     settled: bool
 
 
-def compute_metrics(trace: list, band: float, events: list | None = None) -> Metrics:
+def compute_metrics(trace: Trace | list, band: float, events: list | None = None) -> Metrics:
     """Settling time and peak per disturbance event.
 
     Settling is the first instant after the event from which the wingtip
@@ -206,10 +254,11 @@ def compute_metrics(trace: list, band: float, events: list | None = None) -> Met
     """
     if not 0 < band < np.inf:  # NaN fails too
         raise ValueError(f"band must be finite and > 0, got {band}")
+    trace = Trace.of(trace)
     if not trace:
         raise ValueError("empty trace")
-    t = _column(trace, "t")
-    disp = np.abs(_column(trace, "wingtip_disp"))
+    t = trace.column("t")
+    disp = np.abs(trace.column("wingtip_disp"))
     end_time = t[-1] + (t[1] - t[0] if len(t) > 1 else 0.0)
     events = sorted(events or [t[0]])
     per_event = []
@@ -252,10 +301,11 @@ def response_reduction(baseline: Metrics, candidate: Metrics) -> float:
 # trace I/O
 
 
-def write_trace(trace: list, path: str) -> None:
+def write_trace(trace: Trace | list, path: str) -> None:
     """Write the trace as CSV with full-precision decimal floats."""
-    columns = [map(repr, _column(trace, name).tolist()) for name in _FLOAT_COLUMNS]
-    rows = zip(*columns, (r.qp_status for r in trace))
+    trace = Trace.of(trace)
+    columns = [map(repr, column) for column in trace.floats.T.tolist()]
+    rows = zip(*columns, trace.qp_status)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(TRACE_HEADER + "\n")
@@ -264,26 +314,28 @@ def write_trace(trace: list, path: str) -> None:
         raise OSError(f"cannot write trace to {path}: {exc}") from None
 
 
-def read_trace(path: str) -> list:
-    """Parse a trace CSV back into TraceRecord rows (full precision)."""
+def read_trace(path: str) -> Trace:
+    """Parse a trace CSV back into a Trace (full precision)."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
             raise ValueError(f"unexpected trace header in {path}: {header!r}")
-        records = []
+        rows, statuses = [], []
         for line in fh:
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(_FLOAT_COLUMNS) + 1:
                 raise ValueError(f"malformed trace row: {line!r}")
-            records.append(TraceRecord(*map(float, parts[:-1]), qp_status=parts[-1]))
-    return records
+            rows.append(list(map(float, parts[:-1])))
+            statuses.append(parts[-1])
+    return Trace(np.array(rows, dtype=float).reshape(len(rows), len(_FLOAT_COLUMNS)), statuses)
 
 
-def check_causality(trace: list, kd: int, torque_limit: float,
+def check_causality(trace: Trace | list, kd: int, torque_limit: float,
                     atol: float = 1e-12) -> bool:
-    """Verify applied(k) == cmd(k - kd) and saturation on every record."""
-    applied = _column(trace, "applied_torque")
-    cmd = _column(trace, "cmd_torque")[:max(len(trace) - kd, 0)]  # cmd(k - kd) for k >= kd
+    """Verify applied(k) == cmd(k - kd) and saturation on every step."""
+    trace = Trace.of(trace)
+    applied = trace.column("applied_torque")
+    cmd = trace.column("cmd_torque")[:max(len(trace) - kd, 0)]  # cmd(k - kd) for k >= kd
     expected = np.clip(cmd, -torque_limit, torque_limit)
     return bool(not np.any(np.abs(applied) > torque_limit + atol)
                 and np.all(np.abs(applied[kd:] - expected) <= atol)

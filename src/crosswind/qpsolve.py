@@ -65,10 +65,11 @@ def _check_hessian(H: np.ndarray, n: int) -> None:
 
 
 def _row_matrix(rows, n: int) -> np.ndarray:
-    """``rows`` as an (m, n) float matrix; no rows (None) is the (0, n) matrix."""
+    """``rows`` as an (m, n) float matrix; no rows (None or []) is the (0, n) matrix."""
     if rows is None:
         return np.zeros((0, n))
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = np.asarray(rows, dtype=float)
+    rows = rows.reshape(0, n) if rows.shape == (0,) else np.atleast_2d(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise InvalidParameterError(f"rows must be a matrix with {n} columns, got {rows.shape}")
     return rows

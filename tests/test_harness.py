@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from crosswind.errors import PlantDivergenceError, ScenarioError
 from crosswind.estimator import ObserverState
 from crosswind.harness import (
     TRACE_HEADER,
+    Trace,
     TraceRecord,
     check_causality,
     compute_metrics,
@@ -374,6 +376,75 @@ class TestDeterminism:
         t1 = run_scenario(base)
         t2 = run_scenario(other)
         assert any(a.cmd_torque != b.cmd_torque for a, b in zip(t1, t2))
+
+
+class TestTrace:
+    """A run's Trace reads like the list of TraceRecords it replaced."""
+
+    @staticmethod
+    def band_run():
+        # a QP with fallbacks, so qp_status takes two values
+        return run_scenario(parse_scenario(TIGHT_BAND.replace("40.0", "15.0")))
+
+    def test_rows_are_read_by_index_and_by_iteration(self):
+        trace = run_scenario(load_bundled_scenario("fig8_mpc_weight_step",
+                                                   overrides={"scenario.duration": "5.0"}))
+        rows = list(trace)
+        assert len(rows) == len(trace) == 50 and all(type(r) is TraceRecord for r in rows)
+        assert trace[7] == rows[7] and trace[-1] == rows[-1] == trace[49]
+        assert trace[-1].cmd_torque == trace.column("cmd_torque")[-1]
+        assert list(trace[::10]) == rows[::10]
+        with pytest.raises(IndexError):
+            trace[50]
+
+    def test_a_row_written_through_to_the_store(self):
+        trace = self.band_run()
+        before = trace.floats.copy()
+        trace[-2] = replace(trace[-2], applied_torque=7.0, qp_status="edited")
+        assert trace[-2].applied_torque == trace.column("applied_torque")[-2] == 7.0
+        assert trace.qp_status[-2] == "edited" and trace[-1].qp_status != "edited"
+        assert (trace.floats != before).sum() == 1
+
+    def test_read_trace_gives_equal_columns(self, tmp_path):
+        trace = self.band_run()
+        assert {"optimal", "infeasible_fallback"} <= set(trace.qp_status)
+        p = tmp_path / "t.csv"
+        write_trace(trace, str(p))
+        back = read_trace(str(p))
+        assert isinstance(back, Trace) and back.floats.shape == trace.floats.shape
+        np.testing.assert_array_equal(back.floats, trace.floats)
+        assert back.qp_status == trace.qp_status
+
+    @pytest.mark.parametrize("name", ["fig8_pid_weight_step", "mpc_tight_limit_weight_step"])
+    def test_readers_agree_on_a_trace_and_its_rows(self, name, tmp_path):
+        cfg = load_bundled_scenario(name, overrides={"scenario.duration": "15.0"})
+        trace = run_scenario(cfg)
+        rows = list(trace)
+        paths = [tmp_path / "trace.csv", tmp_path / "rows.csv"]
+        for t, p in zip((trace, rows), paths):
+            write_trace(t, str(p))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        events = cfg.event_times()
+        assert compute_metrics(trace, 0.02, events) == compute_metrics(rows, 0.02, events)
+        kd = round(cfg.plant_params.input_delay_Td / cfg.Ts)
+        limit = cfg.plant_params.torque_limit
+        assert check_causality(trace, kd, limit, atol=0.0) is check_causality(rows, kd, limit,
+                                                                              atol=0.0) is True
+
+    def test_memory_per_step(self):
+        """A run and its metrics take at most 150 bytes more per extra step."""
+        def peak(duration):
+            cfg = load_bundled_scenario("fig2_pid_steady",
+                                        overrides={"scenario.duration": duration})
+            tracemalloc.start()
+            try:
+                compute_metrics(run_scenario(cfg), 0.02, cfg.event_times())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("60.0")  # first-run costs land outside the difference
+        assert (peak("120.0") - peak("60.0")) / 600 <= 150
 
 
 class TestTraceIO:

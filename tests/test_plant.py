@@ -464,6 +464,9 @@ class TestFullPlant:
         with pytest.raises(PlantDivergenceError, match="roll angle diverged") as info:
             run_scenario(cfg)
         assert info.value.step == 20 and len(info.value.partial_trace) == 21
+        # a copy of rows 0..step, not a view that keeps the run's whole store alive
+        assert info.value.partial_trace.floats.shape == (21, 9)
+        assert info.value.partial_trace.floats.base is None
 
     def test_blow_up_reports_its_time_and_last_finite_state(self):
         cfg = load_bundled_scenario("fullplant_weight_step", overrides={

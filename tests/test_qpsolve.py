@@ -308,6 +308,22 @@ class TestValidation:
             np.testing.assert_array_equal(sol.u_star, ref.u_star)
             np.testing.assert_array_equal(sol.multipliers, ref.multipliers)
 
+    def test_an_empty_row_list_is_no_rows(self, rng):
+        # rows=[] was read as a (1, 0) matrix and rejected
+        H, f = random_pd(rng, 2), rng.normal(size=2)
+        lo, hi = np.full(2, -0.1), np.full(2, 0.1)
+        ref = QpWorkspace(H).solve(f, lo, hi)
+        p = QpProblem(H=H, f=f, lower=lo, upper=hi, rows=[])
+        assert p.rows.shape == (0, 2)
+        for sol in (QpWorkspace(H, rows=[]).solve(f, lo, hi), solve_qp(p)):
+            np.testing.assert_array_equal(sol.u_star, ref.u_star)
+            np.testing.assert_array_equal(sol.multipliers, ref.multipliers)
+        for bad in (np.zeros((0, 3)), [[]]):
+            with pytest.raises(InvalidParameterError, match="rows must be a matrix with 2 columns"):
+                QpWorkspace(H, rows=bad)
+            with pytest.raises(InvalidParameterError, match="rows must be a matrix with 2 columns"):
+                QpProblem(H=H, f=f, lower=lo, upper=hi, rows=bad)
+
     def test_violated_zero_row_is_infeasible(self):
         # 0 u in [1, 2] was dropped as a zero row, and the solve reported optimal
         p = QpProblem(H=np.eye(1), f=np.zeros(1), lower=[-1.0], upper=[1.0],
