@@ -170,7 +170,10 @@ class PredictionStack:
     row by row and m1 = M_shift 1, the wind term's column, so that
     xs = K_shift x + h + w m1 with h the buffer's ``history_term``;
     ``push_coeffs`` is A row by row, B and A^kd B, from which the buffer
-    keeps h current; ``L0`` is L's first row.
+    keeps h current; ``L0`` is L's first row. ``reach`` = (a0, a1, b0, b1)
+    holds the column maxima of |L| and of |Phi - G L|, so that every entry
+    of -L xs lies within a0 |xs0| + a1 |xs1| of zero and every output it
+    predicts, (Phi - G L) xs, within b0 |xs0| + b1 |xs1|.
     """
 
     Phi: np.ndarray
@@ -184,6 +187,7 @@ class PredictionStack:
     shift_floats: tuple
     push_coeffs: tuple
     L0: tuple
+    reach: tuple
 
 
 def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
@@ -220,7 +224,8 @@ def build_prediction(dm: DiscreteModel, cfg: MpcConfig) -> PredictionStack:
         Phi=Phi, G=G, H=H, K_shift=K_shift, M_shift=M_shift, Qc_diag=cfg.Qc_diag, L=L, qp=qp,
         shift_floats=tuple(K_shift.ravel().tolist() + (M_shift @ np.ones(dm.kd)).tolist()),
         push_coeffs=dm.floats + tuple((K_shift @ B).ravel().tolist()),
-        L0=tuple(L[0].tolist()))
+        L0=tuple(L[0].tolist()),
+        reach=tuple(np.abs(L).max(0).tolist() + np.abs(Phi - G @ L).max(0).tolist()))
 
 
 def _shifted(x: RollState, buf: InputBuffer, stack: PredictionStack,
@@ -289,11 +294,16 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
                          starts: ActiveSets | None = None) -> float:
     """Receding-horizon step of the box(+output)-constrained QP.
 
-    When u = -L xs, the QP's minimizer if no bound binds, passes the
-    solver's feasibility test (u in the box, G u in the output band less
-    F = Phi xs), u[0] is the command. Otherwise the step forms f and the
-    bounds and solves the QP on ``stack.qp`` (``crosswind.qpsolve``). F is
-    formed only for an output band or the QP.
+    When no bound binds, the QP's minimizer is u = -L xs and the command is
+    its first entry, -L[0] xs, the closed-form law before its clip. A step
+    first bounds u on plain floats: if a0 |xs0| + a1 |xs1| (``stack.reach``)
+    lies inside the box shifted by wind_estimate, and with an output band
+    b0 |xs0| + b1 |xs1| inside the band, no bound binds. A step the bound
+    cannot clear goes to ``_solve_if_a_bound_binds``, which runs the
+    solver's own feasibility test on u and solves the QP only if u fails
+    it. The bound holds in exact arithmetic and that test accepts 1e-8
+    max(1, |bound|) beyond each bound, so the bound clears only steps the
+    test passes, and which steps solve the QP does not depend on it.
 
     With a ``starts`` table the solve starts from the active set stored
     under the key nearest to this step's u - wind_estimate, and an optimal
@@ -309,12 +319,34 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
         raise InvalidParameterError("cfg output bounds do not match the stack; "
                                     "build the stack with build_prediction(dm, cfg)")
     xs0, xs1 = _shifted(x, buf, stack, wind_estimate)
+    lower, upper = cfg.u_min + wind_estimate, cfg.u_max + wind_estimate
+    a0, a1, b0, b1 = stack.reach
+    # a reach that is not finite (or NaN) clears nothing: it goes to the exact test
+    reach = a0 * abs(xs0) + a1 * abs(xs1)
+    clears = reach < math.inf and lower <= -reach and reach <= upper
+    if clears and cfg.y_min is not None:
+        reach = b0 * abs(xs0) + b1 * abs(xs1)
+        clears = reach < math.inf and cfg.y_min <= -reach and reach <= cfg.y_max
+    if not clears:
+        u_star = _solve_if_a_bound_binds(xs0, xs1, stack, cfg, lower, upper, wind_estimate,
+                                         starts)
+        if u_star is not None:
+            return u_star
+    l0, l1 = stack.L0
+    return -(l0 * xs0 + l1 * xs1)
+
+
+def _solve_if_a_bound_binds(xs0: float, xs1: float, stack: PredictionStack, cfg: MpcConfig,
+                            lower: float, upper: float, wind_estimate: float,
+                            starts: ActiveSets | None) -> float | None:
+    """The QP's first command when u = -L xs fails the solver's feasibility
+    test (u in [lower, upper], G u in the output band less F = Phi xs), or
+    None when it passes. F is formed only for an output band or the QP."""
     if not (math.isfinite(xs0) and math.isfinite(xs1)):
         # an infinite xs would meet inf - inf in the products below, which numpy
         # warns of; NaN passes through them quietly to the solver, which rejects f
         xs0 = xs1 = math.nan
     u = stack.L.dot(np.array((-xs0, -xs1)))  # -(L xs) to the bit: negation is exact
-    lower, upper = cfg.u_min + wind_estimate, cfg.u_max + wind_estimate
     # the solver's test, slack <= DEFAULT_TOL max(1, |bound|), multiplied out so that
     # an infinite bound is met; on the box only min(u) and max(u) count, read from
     # one sort, which puts any NaN last, where it fails the test
@@ -322,7 +354,7 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
     inside = (ends[-1] - upper <= DEFAULT_TOL * max(1.0, abs(upper))
               and lower - ends[0] <= DEFAULT_TOL * max(1.0, abs(lower)))
     if inside and cfg.y_min is None:
-        return float(u[0])
+        return None
     F = stack.Phi @ np.array((xs0, xs1))
     row_lower = row_upper = None
     if cfg.y_min is not None:
@@ -331,7 +363,7 @@ def mpc_constrained_step(x: RollState, buf: InputBuffer, stack: PredictionStack,
             y = stack.G @ u
             if ((y - row_upper <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_upper))).all()
                     and (row_lower - y <= DEFAULT_TOL * np.maximum(1.0, np.abs(row_lower))).all()):
-                return float(u[0])
+                return None
     f = 2.0 * (stack.G.T @ (stack.Qc_diag * F))
     problem = (f, np.full(cfg.Np, lower), np.full(cfg.Np, upper), row_lower, row_upper)
     v0 = u - wind_estimate

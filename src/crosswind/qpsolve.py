@@ -286,7 +286,7 @@ class QpWorkspace:
 
     def _factor(self, bA, sA, out) -> bool:
         """inv(M_A inv(2H) M_A') into ``out``; whether M_A passes the independence test."""
-        S_A = self._PT[bA[:, None], bA] * np.multiply.outer(sA, sA)
+        S_A = self._PT.take(bA, 0).take(bA, 1) * np.multiply.outer(sA, sA)
         try:
             out[...] = np.linalg.inv(S_A)
         except np.linalg.LinAlgError:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -11,6 +12,12 @@ from crosswind.model import (
     discretize_zoh,
 )
 from crosswind.qpsolve import QpProblem, QpWorkspace, constraint_stack
+
+# A longer run of a property test at its fixed (derandomized) examples: 20 times
+# hypothesis's default 100 to a test that sets no max_examples of its own, e.g.
+#   pytest --hypothesis-profile=stress tests/test_controllers.py -k reach_bound
+settings.register_profile("stress", max_examples=2000, derandomize=True, database=None,
+                          deadline=None)
 
 
 @pytest.fixture(scope="session")

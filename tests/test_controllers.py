@@ -1,9 +1,14 @@
 import math
+import sys
 import tracemalloc
+from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from crosswind import controllers as ctrl
 from crosswind.controllers import (
@@ -471,6 +476,128 @@ class TestMpcSteps:
             mpc_constrained_step(RollState(), InputBuffer(nominal_dm.kd), stack, cfg)
 
 
+# ---------------------------------------------------------------------------
+# The constrained step's reach bound
+
+# box-only and band stacks at the nominal delay and at none, and at a small and a
+# large control weight
+REACH_MODELS = (1.0, 0.0)
+REACH_CONFIGS = (make_mpc_cfg(), make_mpc_cfg(Np=8, terminal=3.0, rc=1e-2),
+                 make_mpc_cfg(y_min=-0.01, y_max=0.01),
+                 make_mpc_cfg(Np=5, rc=1.0, y_min=-0.01, y_max=0.01))
+# a bound drawn at an edge e sits this many max(1, |e|) beyond it (inside it if negative),
+# on the scale of the exact test's tolerance, 1e-8 max(1, |bound|)
+EDGE_OFFSETS = (-0.5, -1e-7, -1e-8, -1e-9, -1e-12, -2.0 ** -52, 0.0, 2.0 ** -53, 2.0 ** -52,
+                1e-12, 1e-9, 1e-7, 0.5)
+BOUND_CHOICES = ("desk", "infinite", "below", "above") + ("reach", "peak") * 3
+EXTREMES = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300,
+            sys.float_info.max, -sys.float_info.max)
+
+
+@lru_cache(maxsize=None)
+def reach_stack(model: int, config: int):
+    rp = RollPlantParams(input_delay_Td=REACH_MODELS[model])
+    dm = discretize_zoh(continuous_roll_model(rp), Ts=0.1, Td=rp.input_delay_Td)
+    return dm, build_prediction(dm, REACH_CONFIGS[config])
+
+
+def reach_values():
+    """Floats of either sign from 1e-300 to 1e300, desk-scale ones, zeros, NaN and +-inf."""
+    return st.one_of(st.floats(-1.0, 1.0), st.floats(-2000.0, 2000.0),
+                     st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+                               st.integers(-300, 300)),
+                     st.sampled_from(EXTREMES))
+
+
+@st.composite
+def bound_steps(draw):
+    """A stack, a config for it, a state, a buffer and a wind estimate. The box and
+    the band are each drawn at the desk-scale limits, infinite on one or both sides,
+    or at an edge: beside the reach a0 |xs0| + a1 |xs1| (b0, b1 for the band) or
+    beside the largest entry of the exact u = -L xs (of the outputs for the band)."""
+    dm, stack = reach_stack(draw(st.integers(0, len(REACH_MODELS) - 1)),
+                            config := draw(st.integers(0, len(REACH_CONFIGS) - 1)))
+    cfg = REACH_CONFIGS[config]
+    x, w = RollState(draw(reach_values()), draw(reach_values())), draw(reach_values())
+    buf = InputBuffer(dm.kd)
+    for cmd in draw(st.lists(reach_values(), max_size=3)):
+        buf.push(cmd)
+    a0, a1, b0, b1 = stack.reach
+    with np.errstate(all="ignore"):  # an infinite command in the buffer meets inf - inf
+        xs = np.array(ctrl._shifted(x, buf, stack, w))
+        u = -(stack.L @ xs)
+        y = stack.Phi @ xs + stack.G @ u
+        edges = {"box": (a0 * abs(xs[0]) + a1 * abs(xs[1]), u.min(), u.max()),
+                 "band": (b0 * abs(xs[0]) + b1 * abs(xs[1]), y.min(), y.max())}
+    bounds = {}
+    for kind, limit in (("box", 1000.0), ("band", 0.01)):
+        reach, low, high = (float(v) for v in edges[kind])
+        choice = draw(st.sampled_from(BOUND_CHOICES))
+        event(f"{kind} at {choice}")
+        if choice in ("reach", "peak") and math.isfinite(reach):
+            if choice == "reach":
+                low, high = -reach, reach
+            lo_off, hi_off = (draw(st.sampled_from(EDGE_OFFSETS)) for _ in range(2))
+            low, high = low - lo_off * max(1.0, abs(low)), high + hi_off * max(1.0, abs(high))
+            shift = w if kind == "box" and math.isfinite(w) else 0.0
+            low, high = low - shift, high - shift
+        else:
+            low, high = {"infinite": (-math.inf, math.inf), "below": (-limit, math.inf),
+                         "above": (-math.inf, limit)}.get(choice, (-limit, limit))
+        assume(low < high)
+        bounds[kind] = (low, high)
+    (u_min, u_max), (y_min, y_max) = bounds["box"], bounds["band"]
+    if cfg.y_min is None:
+        y_min = y_max = None
+    cfg = MpcConfig(Np=cfg.Np, Qc_diag=cfg.Qc_diag, Rc_diag=cfg.Rc_diag,
+                    u_min=u_min, u_max=u_max, y_min=y_min, y_max=y_max)
+    return stack, cfg, x, buf, w
+
+
+class Solved(Exception):
+    """Raised in place of a QP solve: the step found that a bound binds."""
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(bound_steps())
+def test_the_reach_bound_clears_only_steps_the_exact_test_passes(case):
+    """A step the reach bound clears passes the exact numpy test on u = -L xs as
+    well, and every step that needs no solve commands the closed-form law before
+    its clip, to the bit, whichever test decided."""
+    stack, cfg, x, buf, w = case
+    exact, calls = ctrl._solve_if_a_bound_binds, []
+
+    def solve(*args, **kwargs):
+        raise Solved
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    with (np.errstate(all="ignore"), mock.patch.object(QpWorkspace, "solve", solve),
+          mock.patch.object(ctrl, "_solve_if_a_bound_binds", counted)):
+        try:
+            cmd = mpc_constrained_step(x, buf, stack, cfg, wind_estimate=w)
+        except Solved:
+            event("a bound binds")
+            return
+        event("cleared by the exact test" if calls else "cleared by the bound")
+        if not calls:
+            xs0, xs1 = ctrl._shifted(x, buf, stack, w)
+            assert exact(xs0, xs1, stack, cfg, cfg.u_min + w, cfg.u_max + w, w, None) is None
+    assert cmd == mpc_unconstrained_step(x, buf, stack, math.inf, wind_estimate=w)
+
+
+@pytest.mark.parametrize("y_bounds", [(None, None), (-math.inf, math.inf)])
+def test_an_unbounded_step_at_a_huge_state_reaches_the_solver(nominal_dm, y_bounds):
+    """At theta = 1e305 the reach overflows: the step goes to the exact test and
+    the solver, which rejects the non-finite f, rather than returning inf."""
+    cfg = MpcConfig(u_min=-math.inf, u_max=math.inf, y_min=y_bounds[0], y_max=y_bounds[1])
+    st_ = build_prediction(nominal_dm, cfg)
+    with np.errstate(all="ignore"), pytest.raises(InvalidParameterError, match="f must be finite"):
+        mpc_constrained_step(RollState(theta=1e305), InputBuffer(nominal_dm.kd), st_, cfg)
+
+
 class TestRunningShift:
     """The buffer's running history term h = M_shift @ history and the O(1) shift."""
 
@@ -539,6 +666,9 @@ class TestRunningShift:
         assert same(stack.shift_floats, stack.K_shift, m1)
         assert same(stack.push_coeffs, nominal_dm.A, nominal_dm.B, stack.K_shift @ nominal_dm.B)
         assert same(stack.L0, stack.L[0])
+        band = build_prediction(nominal_dm, make_mpc_cfg(Np=10, y_min=-0.01, y_max=0.01))
+        for st_ in (stack, band):
+            assert same(st_.reach, np.abs(st_.L).max(0), np.abs(st_.Phi - st_.G @ st_.L).max(0))
 
     @pytest.mark.parametrize("theta,theta_dot,wind", [
         (v if i == 0 else 0.01, v if i == 1 else 0.0, v if i == 2 else 5.0)

@@ -1,7 +1,8 @@
 """Golden-trace gate: the theta and cmd_torque columns of every bundled
 scenario stay within 1e-9 of the CSVs in tests/golden, which
 tests/golden/make_golden.py wrote before the last change of solver or loop,
-and each run makes its pinned number of QP solves; and the tolerance rule of
+and each run makes its pinned number of QP solves and of exact no-bound-binds
+tests in the constrained MPC step; and the tolerance rule of
 tests/golden/compare_traces.py --atol."""
 
 import importlib.util
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crosswind import controllers as ctrl
 from crosswind.harness import run_scenario
 from crosswind.qpsolve import QpWorkspace
 from crosswind.scenario import bundled_scenario_names, load_bundled_scenario
@@ -19,6 +21,11 @@ ATOL = 1e-9
 # QpWorkspace.solve calls in a run at the scenario's own seed; a constrained
 # MPC step calls it only when a bound binds, so every other scenario makes none
 QP_SOLVES = {"mpc_tight_limit_weight_step": 165}
+# constrained MPC steps in a run that the reach bound cannot clear, so that they
+# reach the exact numpy test on u = -L xs; fig9_mpc_weight_square reaches it on
+# none of its 1150 steps, and every unlisted scenario on none
+EXACT_TESTS = {"fig2_mpc_steady": 10, "fig7_estimator_weights": 3,
+               "fig7_estimator_weights_kalman": 7, "mpc_tight_limit_weight_step": 256}
 
 
 @pytest.mark.parametrize("name", bundled_scenario_names())
@@ -33,12 +40,20 @@ def test_trace_matches_golden(name, monkeypatch):
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(QpWorkspace, "solve", counted_solve)
+    exact, exact_tests = ctrl._solve_if_a_bound_binds, []
+
+    def counted_exact_test(*args):
+        exact_tests.append(name)
+        return exact(*args)
+
+    monkeypatch.setattr(ctrl, "_solve_if_a_bound_binds", counted_exact_test)
     trace = run_scenario(load_bundled_scenario(name))
     got = np.array([[r.theta, r.cmd_torque] for r in trace])
     assert got.shape == golden.shape
     err = np.max(np.abs(got - golden), axis=0)
     assert np.all(err <= ATOL), f"{name}: max deviation theta {err[0]:.3e}, cmd_torque {err[1]:.3e}"
     assert len(solves) == QP_SOLVES.get(name, 0)
+    assert len(exact_tests) == EXACT_TESTS.get(name, 0)
 
 
 def _compare_traces():
